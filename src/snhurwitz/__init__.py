@@ -36,7 +36,6 @@ from .structure import (
     spectrum,
     extract_b_disconnected,
     extract_b_connected,
-    candidate_moduli,
     verify_theorem,
     asymptotic_ratio,
 )

@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import characters, hurwitz, structure, verify, young_trees
@@ -70,10 +69,6 @@ def _pretty(payload: dict, indent: int = 0) -> None:
                 _pretty(item, indent + 2)
         else:
             print(f"{pad}{key}: {value}")
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
 
 
 def _profiles(values) -> tuple[Partition, ...]:
@@ -157,7 +152,7 @@ def _cmd_hurwitz(args, cache) -> int:
             value = hurwitz.brute_force_connected(cover)
     payload = {"command": "hurwitz", "params": params,
                "kind": args.kind, "h": h, "d": d, "g": g, "k": k,
-               "profiles": params["profiles"], "value": _frac(value)}
+               "profiles": params["profiles"], "value": str(value)}
     if params.get("nu"):
         payload["nu"] = params["nu"]
     _emit(args, payload)
@@ -170,21 +165,16 @@ def _cmd_bseries(args, cache) -> int:
     mus = _profiles(args.profile)
     parity = None if args.parity is None else (0 if args.parity == "even" else 1)
     if args.kind == "connected":
-        table = structure.extract_b_connected(h, d, mus, nu, cache, parity, args.method)
+        table = structure.extract_b_connected(h, d, mus, nu, cache, parity)
     else:
         table = structure.extract_b_disconnected(h, d, mus, nu, cache, parity)
     payload = {"command": "bseries",
                "params": {"kind": args.kind, "d": d, "h": h, "nu": str(nu),
-                          "mus": [str(m) for m in mus], "method": args.method},
+                          "mus": [str(m) for m in mus]},
                **table.to_json()}
     rows = [[m, str(b)] for m, b in sorted(table.entries.items(), reverse=True)]
     _emit(args, payload, (["m", "b"], rows))
     return 0
-
-
-_THEOREM_TOKENS = {"t1": "T1", "t2": "T2", "t5": "T5", "t6": "T6",
-                   "prop-dh": "PropDH", "propdh": "PropDH",
-                   "lemma-dh2": "LemmaDH2", "lemmadh2": "LemmaDH2"}
 
 
 def _cmd_verify(args, cache) -> int:
@@ -195,11 +185,11 @@ def _cmd_verify(args, cache) -> int:
         report = verify.check_lemma_rm2(args.d, cache).to_json()
     elif what == "theorem-b":
         report = verify.check_theorem_B(args.d, cache).to_json()
-    elif what in _THEOREM_TOKENS:
+    elif (name := structure.statement_name(what)) is not None:
         report = structure.verify_theorem(
-            _THEOREM_TOKENS[what], h=args.target_genus, d=args.d, r=args.r,
+            name, h=args.target_genus, d=args.d, r=args.r,
             nu=parse(args.nu) if args.nu else None,
-            mus=_profiles(args.profile), cache=cache, method=args.method)
+            mus=_profiles(args.profile), cache=cache)
     else:
         raise SnHurwitzError(f"unknown verification target {args.what!r}")
     ok = report.get("pass", False)
@@ -308,7 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", required=True)
     p.add_argument("--profile", action="append")
     p.add_argument("--parity", choices=("even", "odd"))
-    p.add_argument("--method", choices=("auto", "solve", "series"), default="auto")
     p.set_defaults(fn=_cmd_bseries)
 
     p = sub.add_parser("verify", help="machine-check a named statement")
@@ -319,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu")
     p.add_argument("--target-genus", type=int, default=0)
     p.add_argument("--profile", action="append")
-    p.add_argument("--method", choices=("auto", "solve", "series"), default="auto")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("conjecture", help="falsification sweeps")

@@ -393,6 +393,24 @@ class NuSplitAlgebra:
         return self.types[tidx] + (1,) * (delta - self.tsum[tidx])
 
 
+def mu_splits(delta1: int, omegas: tuple):
+    """Yield (omegas1, omegas2) over exact multiset splits of each fixed profile,
+    the first of each pair partitioning delta1."""
+
+    def go(i: int, acc1: list, acc2: list):
+        if i == len(omegas):
+            yield tuple(acc1), tuple(acc2)
+            return
+        for w1, w2 in splits(Partition(omegas[i]), delta1):
+            acc1.append(w1.parts)
+            acc2.append(w2.parts)
+            yield from go(i + 1, acc1, acc2)
+            acc1.pop()
+            acc2.pop()
+
+    yield from go(0, [], [])
+
+
 class ConnectedComputer:
     """Connected Hurwitz numbers for one (h, d, μ's, ν) family, any repeat count.
 
@@ -402,6 +420,10 @@ class ConnectedComputer:
     the sub-multisets of ν's non-unit parts (unit parts pad every component to
     its degree).  Memos persist across repeat counts, so sampling many k
     against one family is cheap.
+
+    All arithmetic is on integers: a δ-sheet piece sums the per-irreducible
+    weights dim λ²·(δ!/dim λ)^{2h}, which are integers because dim λ divides
+    δ!, and are δ!² times the (dim λ/δ!)^{2−2h} of the character sum.
     """
 
     def __init__(self, h: int, d: int, mus: tuple[Partition, ...], nu: Partition,
@@ -414,13 +436,14 @@ class ConnectedComputer:
         self.algebra = NuSplitAlgebra(nu)
         self.types = self.algebra.types
         self.tsum = self.algebra.tsum
-        self.full = self.algebra.full
         self.choices = self.algebra.choices
         self._fvals: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        self._weights: dict[int, list[tuple[Partition, int]]] = {}
         self._memo_t: dict = {}
         self._memo_tc: dict = {}
 
-    def _f(self, profile: tuple[int, ...], lam: Partition) -> int:
+    def f(self, profile: tuple[int, ...], lam: Partition) -> int:
+        """Memoized central character of the class with the given parts on λ."""
         key = (profile, lam.parts)
         hit = self._fvals.get(key)
         if hit is None:
@@ -428,8 +451,17 @@ class ConnectedComputer:
             self._fvals[key] = hit
         return hit
 
-    def _point_profile(self, tidx: int, delta: int) -> tuple[int, ...]:
-        return self.algebra.point_profile(tidx, delta)
+    def weights(self, delta: int) -> list[tuple[Partition, int]]:
+        """(λ, dim λ²·(δ!/dim λ)^{2h}) over all λ ⊢ δ."""
+        hit = self._weights.get(delta)
+        if hit is None:
+            fact = factorial(delta)
+            hit = []
+            for lam in partitions_of(delta):
+                dim = dimension(lam)
+                hit.append((lam, dim * dim * (fact // dim) ** (2 * self.h)))
+            self._weights[delta] = hit
+        return hit
 
     def _tuples_all(self, delta: int, counts: tuple[int, ...], omegas: tuple) -> int:
         """δ!·(disconnected count) for a δ-sheet piece with the given points."""
@@ -437,19 +469,17 @@ class ConnectedComputer:
         hit = self._memo_t.get(key)
         if hit is not None:
             return hit
-        total = Fraction(0)
-        fact = factorial(delta)
-        for lam in partitions_of(delta):
-            term = fact * Fraction(dimension(lam), fact) ** (2 - 2 * self.h)
+        total = 0
+        for lam, term in self.weights(delta):
             for om in omegas:
-                term *= self._f(om, lam)
+                term *= self.f(om, lam)
             for tidx, n in enumerate(counts):
                 if n:
-                    term *= self._f(self._point_profile(tidx, delta), lam) ** n
+                    term *= self.f(self.algebra.point_profile(tidx, delta), lam) ** n
             total += term
-        if total.denominator != 1:
+        value, rem = divmod(total, factorial(delta))
+        if rem:
             raise ArithmeticError("tuple count came out non-integral (bug)")
-        value = total.numerator
         self._memo_t[key] = value
         return value
 
@@ -492,22 +522,6 @@ class ConnectedComputer:
         zero = [0] * len(self.types)
         yield from go(0, list(zero), list(zero), 1)
 
-    def _mu_splits(self, delta1: int, omegas: tuple):
-        """Yield (omegas1, omegas2) over exact multiset splits of each slot."""
-
-        def go(i: int, acc1: list, acc2: list):
-            if i == len(omegas):
-                yield tuple(acc1), tuple(acc2)
-                return
-            for w1, w2 in splits(Partition(omegas[i]), delta1):
-                acc1.append(w1.parts)
-                acc2.append(w2.parts)
-                yield from go(i + 1, acc1, acc2)
-                acc1.pop()
-                acc2.pop()
-
-        yield from go(0, [], [])
-
     def _tuples_transitive(self, delta: int, counts: tuple[int, ...], omegas: tuple) -> int:
         key = (delta, counts, omegas)
         hit = self._memo_tc.get(key)
@@ -517,7 +531,7 @@ class ConnectedComputer:
         for delta1 in range(1, delta):
             delta2 = delta - delta1
             sheet_ways = comb(delta - 1, delta1 - 1)
-            for om1, om2 in self._mu_splits(delta1, omegas):
+            for om1, om2 in mu_splits(delta1, omegas):
                 for c1, c2, ways in self._point_splits(delta1, delta2, counts):
                     t_first = self._tuples_transitive(delta1, c1, om1)
                     if not t_first:
@@ -530,7 +544,7 @@ class ConnectedComputer:
     def value(self, k: int) -> Fraction:
         """The connected Hurwitz number with k ν-points."""
         counts = [0] * len(self.types)
-        counts[self.full] = k
+        counts[self.algebra.full] = k
         omegas = tuple(m.parts for m in self.mus)
         count = self._tuples_transitive(self.d, tuple(counts), omegas)
         return Fraction(count, factorial(self.d))

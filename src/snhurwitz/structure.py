@@ -4,10 +4,9 @@ For a fixed degree, target genus, fixed profiles μ^(1..s) and one repeated
 profile ν, both the disconnected and connected Hurwitz numbers are finite
 sums  prefactor · Σ_m b(m)·m^k  over positive integer moduli m, where k is
 the number of ν-points.  The disconnected coefficients come straight from
-the central-character spectrum; the connected ones are extracted either by
-an exact linear solve against sampled connected values (Vandermonde in the
-moduli) or by pushing the component-peeling recursion through tables of
-eigenvalue functions.  Both routes are exact and cross-check each other.
+the central-character spectrum; the connected ones by pushing the
+component-peeling recursion through tables of eigenvalue functions, checked
+against the count-level recursion at held-out exponents.
 """
 
 from __future__ import annotations
@@ -18,10 +17,8 @@ from math import comb, factorial
 
 from .characters import CharCache, central_character, character_ratio
 from .errors import GenusError, HypothesisError, SizeMismatchError, SupportError
-from .hurwitz import ConnectedComputer, CoverSpec, NuSplitAlgebra, disconnected
-from .partitions import Partition, dimension, partitions_of, splits
-
-_SOLVE_STATE_LIMIT = 400_000
+from .hurwitz import ConnectedComputer, CoverSpec, disconnected, mu_splits
+from .partitions import Partition, dimension, partitions_of
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +196,7 @@ def _sample_exponents(parity: int, count: int, start_at_least: int = 1) -> list[
     return [k0 + 2 * i for i in range(count)]
 
 
-# -- eigenvalue-function tables (series route and candidate support) --------
+# -- eigenvalue-function tables ---------------------------------------------
 
 
 class _TableComputer:
@@ -211,89 +208,70 @@ class _TableComputer:
     eigenfunction.  Tables map eigenfunctions to exact coefficients, so the
     whole k-dependence of a Hurwitz sequence is carried symbolically and the
     connected table falls out of one recursion instead of many evaluations.
+
+    Coefficients are integers: a degree-δ table holds δ!² times the
+    character-sum weights (see ConnectedComputer), which puts an extra
+    binomial comb(δ, δ₁) on each convolution term and leaves one division
+    for signed_coefficients.
     """
 
-    def __init__(self, h: int, d: int, mus: tuple[Partition, ...], nu: Partition,
-                 cache: CharCache | None = None):
-        self.h = h
-        self.d = d
-        self.mus = tuple(m.parts for m in mus)
-        self.nu = nu
-        self.cache = cache
-        self.alg = NuSplitAlgebra(nu)
-        self._f: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    def __init__(self, computer: ConnectedComputer):
+        self.computer = computer
+        self.alg = computer.algebra
         self._eigs: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+        self._plans: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}
         self._t: dict = {}
         self._tc: dict = {}
-
-    def _fval(self, profile: tuple[int, ...], lam: Partition) -> int:
-        key = (profile, lam.parts)
-        hit = self._f.get(key)
-        if hit is None:
-            hit = central_character(Partition(profile), lam, self.cache)
-            self._f[key] = hit
-        return hit
 
     def eig(self, delta: int, lam: Partition) -> tuple[int, ...]:
         key = (delta, lam.parts)
         hit = self._eigs.get(key)
         if hit is None:
-            alg = self.alg
+            alg, f = self.alg, self.computer.f
             hit = tuple(
-                self._fval(alg.point_profile(t, delta), lam) if alg.tsum[t] <= delta else 0
+                f(alg.point_profile(t, delta), lam) if alg.tsum[t] <= delta else 0
                 for t in range(len(alg.types))
             )
             self._eigs[key] = hit
         return hit
 
     def convolve(self, d1: int, e1: tuple[int, ...], d2: int, e2: tuple[int, ...]) -> tuple[int, ...]:
-        alg = self.alg
+        pairs_by_type = self._plans.get((d1, d2))
+        if pairs_by_type is None:
+            # hand-off choices each side can absorb; empty where tsum > d1 + d2
+            tsum = self.alg.tsum
+            pairs_by_type = [
+                [(b, rest) for b, rest in opts if tsum[b] <= d1 and tsum[rest] <= d2]
+                for opts in self.alg.choices
+            ]
+            self._plans[(d1, d2)] = pairs_by_type
         out = []
-        for a in range(len(alg.types)):
-            if alg.tsum[a] > d1 + d2:
-                out.append(0)
-                continue
+        for pairs in pairs_by_type:
             acc = 0
-            for b, rest in alg.choices[a]:
-                if alg.tsum[b] <= d1 and alg.tsum[rest] <= d2:
-                    acc += e1[b] * e2[rest]
+            for b, rest in pairs:
+                acc += e1[b] * e2[rest]
             out.append(acc)
         return tuple(out)
 
-    def _mu_splits(self, delta1: int, omegas: tuple):
-        def go(i: int, acc1: list, acc2: list):
-            if i == len(omegas):
-                yield tuple(acc1), tuple(acc2)
-                return
-            for w1, w2 in splits(Partition(omegas[i]), delta1):
-                acc1.append(w1.parts)
-                acc2.append(w2.parts)
-                yield from go(i + 1, acc1, acc2)
-                acc1.pop()
-                acc2.pop()
-
-        yield from go(0, [], [])
-
-    def t_table(self, delta: int, omegas: tuple) -> dict[tuple[int, ...], Fraction]:
+    def t_table(self, delta: int, omegas: tuple) -> dict[tuple[int, ...], int]:
         key = (delta, omegas)
         hit = self._t.get(key)
         if hit is not None:
             return hit
-        fact = factorial(delta)
-        table: dict[tuple[int, ...], Fraction] = {}
-        for lam in partitions_of(delta):
-            coeff = fact * Fraction(dimension(lam), fact) ** (2 - 2 * self.h)
+        f = self.computer.f
+        table: dict[tuple[int, ...], int] = {}
+        for lam, coeff in self.computer.weights(delta):
             for om in omegas:
-                coeff *= self._fval(om, lam)
+                coeff *= f(om, lam)
             if not coeff:
                 continue
             e = self.eig(delta, lam)
-            table[e] = table.get(e, Fraction(0)) + coeff
+            table[e] = table.get(e, 0) + coeff
         table = {e: c for e, c in table.items() if c}
         self._t[key] = table
         return table
 
-    def tc_table(self, delta: int, omegas: tuple) -> dict[tuple[int, ...], Fraction]:
+    def tc_table(self, delta: int, omegas: tuple) -> dict[tuple[int, ...], int]:
         key = (delta, omegas)
         hit = self._tc.get(key)
         if hit is not None:
@@ -301,14 +279,14 @@ class _TableComputer:
         table = dict(self.t_table(delta, omegas))
         for d1 in range(1, delta):
             d2 = delta - d1
-            sheet_ways = comb(delta - 1, d1 - 1)
-            for om1, om2 in self._mu_splits(d1, omegas):
+            ways = comb(delta - 1, d1 - 1) * comb(delta, d1)
+            for om1, om2 in mu_splits(d1, omegas):
                 first = self.tc_table(d1, om1)
                 rest = self.t_table(d2, om2)
                 for e1, c1 in first.items():
                     for e2, c2 in rest.items():
                         e = self.convolve(d1, e1, d2, e2)
-                        table[e] = table.get(e, Fraction(0)) - sheet_ways * c1 * c2
+                        table[e] = table.get(e, 0) - ways * c1 * c2
         table = {e: c for e, c in table.items() if c}
         self._tc[key] = table
         return table
@@ -316,85 +294,15 @@ class _TableComputer:
     def signed_coefficients(self) -> dict[int, Fraction]:
         """Signed eigenvalue → coefficient of t^k in the connected sequence,
         normalized so the table matches the shared prefactor convention."""
-        top = self.tc_table(self.d, self.mus)
+        c = self.computer
         full = self.alg.full
-        norm = factorial(self.d) * _prefactor(self.h, self.d, tuple(Partition(m) for m in self.mus))
-        out: dict[int, Fraction] = {}
-        for e, c in top.items():
+        sums: dict[int, int] = {}
+        for e, coeff in self.tc_table(c.d, tuple(m.parts for m in c.mus)).items():
             t = e[full]
-            if t == 0:
-                continue
-            out[t] = out.get(t, Fraction(0)) + c / norm
-        return {t: c for t, c in out.items() if c}
-
-
-_CANDIDATE_MEMO: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-
-
-def candidate_moduli(d: int, nu: Partition, cache: CharCache | None = None) -> list[int]:
-    """All moduli that can support the connected table: absolute eigenvalues
-    of every way of carving d sheets into components with irreducibles on
-    each, convolved over the per-point hand-off choices."""
-    memo_key = (d, nu.parts)
-    hit = _CANDIDATE_MEMO.get(memo_key)
-    if hit is not None:
-        return list(hit)
-    helper = _TableComputer(0, d, (), nu, cache)
-    memo: dict[int, set[tuple[int, ...]]] = {}
-
-    def products(delta: int) -> set[tuple[int, ...]]:
-        hit = memo.get(delta)
-        if hit is not None:
-            return hit
-        out = {helper.eig(delta, lam) for lam in partitions_of(delta)}
-        for d1 in range(1, delta):
-            singles = [helper.eig(d1, lam) for lam in partitions_of(d1)]
-            for e2 in products(delta - d1):
-                for e1 in singles:
-                    out.add(helper.convolve(d1, e1, delta - d1, e2))
-        memo[delta] = out
-        return out
-
-    full = helper.alg.full
-    out = sorted({abs(e[full]) for e in products(d) if e[full]}, reverse=True)
-    _CANDIDATE_MEMO[memo_key] = out
-    return list(out)
-
-
-def _solve_moment_system(moduli: list[int], q0: int, values: list[Fraction]) -> dict[int, Fraction]:
-    """Solve Σ_m b_m·m^{q0+2i} = values[i] exactly via Lagrange coefficients.
-
-    Substituting y_m = m² and c_m = b_m·m^{q0} turns the system into moments
-    Σ c_m·y_m^i = v_i, whose inverse rows are the coefficient vectors of the
-    Lagrange basis polynomials at the nodes y_m.
-    """
-    n = len(moduli)
-    ys = [m * m for m in moduli]
-    if len(set(ys)) != n:
-        raise SupportError("repeated moduli make the moment system singular")
-    # master polynomial ∏ (t − y_j)
-    master = [1]
-    for y in ys:
-        new = [0] * (len(master) + 1)
-        for i, a in enumerate(master):
-            new[i] -= a * y
-            new[i + 1] += a
-        master = new
-    out: dict[int, Fraction] = {}
-    for m, y in zip(moduli, ys):
-        # synthetic division master / (t − y); remainder is 0 by construction
-        quot = [0] * n
-        carry = master[n]
-        for i in range(n - 1, -1, -1):
-            quot[i] = carry
-            carry = master[i] + carry * y
-        denom = 1
-        for y2 in ys:
-            if y2 != y:
-                denom *= y - y2
-        c = sum(q * v for q, v in zip(quot, values)) / denom
-        out[m] = c / m**q0
-    return out
+            if t:
+                sums[t] = sums.get(t, 0) + coeff
+        norm = factorial(c.d) ** 2 * _prefactor(c.h, c.d, c.mus)
+        return {t: s / norm for t, s in sums.items() if s}
 
 
 def extract_b_connected(
@@ -404,54 +312,24 @@ def extract_b_connected(
     nu: Partition,
     cache: CharCache | None = None,
     parity: int | None = None,
-    method: str = "auto",
 ) -> BTable:
-    """Connected coefficient table over the candidate modulus support.
+    """Connected coefficient table by the eigenvalue-table recursion.
 
-    method="solve" samples the connected sequence at consecutive exponents of
-    the right parity and solves the exact Vandermonde-type system, then
-    verifies two held-out exponents.  method="series" runs the symbolic
-    table recursion and verifies two reconstructions against the independent
-    count-level route.  "auto" picks solve when the sampling states stay
-    small, series otherwise.
+    The table is checked at two exponents of its parity against the
+    count-level recursion (ConnectedComputer.value) before it is returned.
     """
     par, vacuous = _resolve_parity(nu, mus, parity)
     mus = tuple(mus)
-    if method == "auto":
-        # the solve route must enumerate the candidate support and sample up
-        # to ~2·|support| exponents; both stay cheap only when each point has
-        # at most one non-unit part to hand around
-        ntypes = len(NuSplitAlgebra(nu).types)
-        method = "solve" if ntypes <= 2 and d <= 9 else "series"
-
     computer = ConnectedComputer(h, d, mus, nu, cache)
-    prefac = _prefactor(h, d, mus)
-
-    if method == "solve":
-        support = candidate_moduli(d, nu, cache)
-        ks = _sample_exponents(par, len(support) + 2)
-        sample_ks, holdout_ks = ks[: len(support)], ks[len(support):]
-        values = [computer.value(k) / prefac for k in sample_ks]
-        entries = _solve_moment_system(support, sample_ks[0], values)
-        entries = {m: b for m, b in entries.items() if b}
-    elif method == "series":
-        signed = _TableComputer(h, d, mus, nu, cache).signed_coefficients()
-        entries = {}
-        for t, c in signed.items():
-            m = abs(t)
-            term = c if (t > 0 or par == 0) else -c
-            entries[m] = entries.get(m, Fraction(0)) + term
-        entries = {m: b for m, b in entries.items() if b}
-        holdout_ks = _sample_exponents(par, 2)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    entries: dict[int, Fraction] = {}
+    for t, c in _TableComputer(computer).signed_coefficients().items():
+        m = abs(t)
+        entries[m] = entries.get(m, Fraction(0)) + (c if (t > 0 or par == 0) else -c)
+    entries = {m: b for m, b in entries.items() if b}
     table = BTable("connected", h, d, mus, nu, par, entries, vacuous)
-    for k in holdout_ks:
+    for k in _sample_exponents(par, 2):
         if table.value_at(k) != computer.value(k):
-            raise SupportError(
-                f"connected table fails held-out reconstruction at k={k} (method={method})"
-            )
+            raise SupportError(f"connected table fails held-out reconstruction at k={k}")
     return table
 
 
@@ -491,6 +369,16 @@ def _power(base: int, exp: int) -> Fraction:
     return Fraction(base) ** exp
 
 
+#: canonical statement names, keyed by their spelling without '-', '_' or case
+STATEMENTS = {"t1": "T1", "t2": "T2", "t5": "T5", "t6": "T6",
+              "propdh": "PropDH", "lemmadh2": "LemmaDH2"}
+
+
+def statement_name(token: str) -> str | None:
+    """The canonical name of a statement token such as 'prop-dH', or None."""
+    return STATEMENTS.get(token.strip().replace("-", "").replace("_", "").lower())
+
+
 def verify_theorem(
     statement: str,
     *,
@@ -501,7 +389,6 @@ def verify_theorem(
     nu: Partition | None = None,
     cache: CharCache | None = None,
     parity: int | None = None,
-    method: str = "auto",
 ) -> dict:
     """Machine-check one named statement; returns a JSON-ready report.
 
@@ -511,13 +398,9 @@ def verify_theorem(
     """
     mus = tuple(mus)
     s = len(mus)
-    name = statement.strip()
-    canon = name.replace("-", "").replace("_", "").lower()
-    aliases = {"t1": "T1", "t2": "T2", "t5": "T5", "t6": "T6",
-               "propdh": "PropDH", "lemmadh2": "LemmaDH2"}
-    if canon not in aliases:
+    name = statement_name(statement)
+    if name is None:
         raise HypothesisError(f"unknown statement {statement!r}")
-    name = aliases[canon]
 
     exp_d = _power(d, 2 - 2 * h - s)
     exp_d1 = _power(d - 1, 2 - 2 * h - s)
@@ -541,7 +424,7 @@ def verify_theorem(
         m_mid = Fraction(factorial(d - 1), r * factorial(d - r - 1))
         m_low = Fraction((d - r - 1) * factorial(d), r * (d - 1) * factorial(d - r))
         if name == "T1":
-            table = extract_b_connected(h, d, mus, nu, cache, parity, method)
+            table = extract_b_connected(h, d, mus, nu, cache, parity)
             clauses.append(_value_clause(1, table, m_top, Fraction(1)))
             clauses.append(_gap_clause(2, table, m_mid, m_top))
             clauses.append(_value_clause(3, table, m_mid, -exp_d * prod_m1))
@@ -557,7 +440,7 @@ def verify_theorem(
             raise HypothesisError(f"T5 requires d ≥ 7, got d={d}")
         nu = Partition([d - 1, 1])
         params["r"] = d - 1
-        table = extract_b_connected(h, d, mus, nu, cache, parity, method)
+        table = extract_b_connected(h, d, mus, nu, cache, parity)
         m_top = Fraction(d * factorial(d - 2))
         m_mid = Fraction(factorial(d - 2))
         m_low = Fraction(2 * (d - 2) * factorial(d - 4))
@@ -571,7 +454,7 @@ def verify_theorem(
             raise HypothesisError(f"T6 requires d ≥ 7, got d={d}")
         nu = Partition([d])
         params["r"] = d
-        table = extract_b_connected(h, d, mus, nu, cache, parity, method)
+        table = extract_b_connected(h, d, mus, nu, cache, parity)
         m_top = Fraction(factorial(d - 1))
         m_mid = Fraction(factorial(d - 2))
         clauses.append(_value_clause(1, table, m_top, Fraction(1)))
@@ -582,7 +465,7 @@ def verify_theorem(
             raise HypothesisError("T2 needs an explicit nu")
         if d < 5:
             raise HypothesisError(f"T2 requires d ≥ 5, got d={d}")
-        table = extract_b_connected(h, d, mus, nu, cache, parity, method)
+        table = extract_b_connected(h, d, mus, nu, cache, parity)
         m_top = Fraction(factorial(d), nu.centralizer_order())
         clauses.append(_value_clause(1, table, m_top, Fraction(1)))
         bad = table.integrality_violations()

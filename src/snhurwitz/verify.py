@@ -81,7 +81,7 @@ def check_lemma_l1(lam: Partition, r: int, cache: CharCache | None = None) -> di
 
 
 def sweep_lemma_l1(d: int, r: int | None = None, cache: CharCache | None = None) -> BoundReport:
-    start = time.time()
+    start = time.perf_counter()
     rs = [r] if r is not None else list(range(2, d + 1))
     report = BoundReport("lemma-l1", d, {"r": rs})
     for rr in rs:
@@ -93,7 +93,7 @@ def sweep_lemma_l1(d: int, r: int | None = None, cache: CharCache | None = None)
                 report.violations.append(entry)
             if entry["tight"]:
                 report.equality_set.append({"lambda": entry["lambda"], "r": rr})
-    report.runtime_seconds = time.time() - start
+    report.runtime_seconds = time.perf_counter() - start
     return report
 
 
@@ -119,7 +119,7 @@ def check_lemma_rm2(d: int, cache: CharCache | None = None, route: str = "chi") 
     """
     if d < 7:
         raise HypothesisError(f"needs d ≥ 7, got {d}")
-    start = time.time()
+    start = time.perf_counter()
     report = BoundReport("lemma-rm2", d, {"r": f"2..{d}", "route": route})
     extreme = Partition([d]), Partition([1] * d)
     lams = [lam for lam in partitions_of(d) if lam not in extreme]
@@ -150,7 +150,7 @@ def check_lemma_rm2(d: int, cache: CharCache | None = None, route: str = "chi") 
             )
         report.equality_set.append({"r": r, "lambdas": sorted(observed_eq)})
         report.extremal.append({"r": r, "max_ratio": str(best[0]), "argmax": best[1]})
-    report.runtime_seconds = time.time() - start
+    report.runtime_seconds = time.perf_counter() - start
     return report
 
 
@@ -158,7 +158,7 @@ def check_theorem_B(d: int, cache: CharCache | None = None) -> BoundReport:
     """|χ_λ(μ)|/dim λ ≤ 1 for μ ≠ (1^d), equality exactly at λ=(d),(1^d)."""
     if d < 5:
         raise HypothesisError(f"needs d ≥ 5, got {d}")
-    start = time.time()
+    start = time.perf_counter()
     report = BoundReport("theorem-B", d, {"mu": "all classes except (1^d)"})
     extreme = {str(Partition([d])), str(Partition([1] * d))}
     for mu in partitions_of(d):
@@ -180,7 +180,7 @@ def check_theorem_B(d: int, cache: CharCache | None = None) -> BoundReport:
                 {"mu": str(mu), "expected": sorted(extreme), "observed": sorted(observed_eq)}
             )
     report.equality_set = sorted(extreme)
-    report.runtime_seconds = time.time() - start
+    report.runtime_seconds = time.perf_counter() - start
     return report
 
 
@@ -220,7 +220,7 @@ def check_conjecture1(d: int, cache: CharCache | None = None, jobs: int = 1) -> 
     """
     if d < 10:
         raise HypothesisError(f"needs d ≥ 10, got {d}")
-    start = time.time()
+    start = time.perf_counter()
     report = BoundReport("conjecture1", d, {"lambda": "all except (d),(1^d)"})
     extreme = Partition([d]), Partition([1] * d)
     lams = [lam for lam in partitions_of(d) if lam not in extreme]
@@ -273,7 +273,7 @@ def check_conjecture1(d: int, cache: CharCache | None = None, jobs: int = 1) -> 
             report.equality_mismatches.append(result["mismatch"])
         report.equality_set.append({"mu": result["mu"], "clause": result["clause"]})
         report.extremal.append({"mu": result["mu"], **result["extremal"]})
-    report.runtime_seconds = time.time() - start
+    report.runtime_seconds = time.perf_counter() - start
     return report
 
 

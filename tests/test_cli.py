@@ -122,3 +122,18 @@ def test_conjecture_cli(run):
     code, out, _ = run("conjecture", "cH9", "--d", "10", "--nu", "4,3,3")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_verify_statement_aliases(run):
+    cases = [("t1", "T1", ["--r", "2"]), ("T5", "T5", []),
+             ("prop-dH", "PropDH", ["--r", "2"]), ("propdh", "PropDH", ["--r", "3"]),
+             ("lemma-dH2", "LemmaDH2", ["--nu", "3,2,2"]),
+             ("LemmaDH2", "LemmaDH2", ["--nu", "4,2,1"])]
+    for token, name, extra in cases:
+        code, out, _ = run("verify", token, "--d", "7", *extra)
+        assert code in (0, 1), token
+        doc = json.loads(out)
+        assert doc["target"] == token and doc["theorem"] == name
+    code, out, err = run("verify", "T3", "--d", "7")
+    assert code == 2 and not out
+    assert "unknown verification target 'T3'" in err

@@ -218,3 +218,27 @@ def test_computer_memo_is_shared_across_repeat_counts(cache):
         assert values[k] == brute_force_connected(spec.cover_spec())
     for k in (1, 3, 5):
         assert values[k] == 0
+
+
+def test_tuples_all_equals_scaled_character_sum(cache):
+    # the integer weights dim²·(δ!/dim)^{2h}, divided once by δ!, against the
+    # Fraction character sum; h = 2 lies beyond the brute-force oracles
+    for d, nu in [(4, P([2, 2])), (5, P([3, 2])), (6, P([3, 2, 1]))]:
+        for h in (0, 1, 2):
+            comp = ConnectedComputer(h, d, (), nu, cache)
+            alg = comp.algebra
+            for delta in range(1, d + 1):
+                omega_choices = [()] + [(lam.parts,) for lam in partitions_of(delta)[:2]]
+                for tidx in range(len(alg.types)):
+                    if alg.tsum[tidx] > delta:
+                        continue
+                    point = P(alg.point_profile(tidx, delta))
+                    for n in (1, 2, 3):
+                        counts = [0] * len(alg.types)
+                        counts[tidx] = n
+                        for omegas in omega_choices:
+                            profiles = tuple(P(om) for om in omegas) + (point,) * n
+                            expected = factorial(delta) * disconnected(
+                                CoverSpec(h, delta, profiles), cache)
+                            got = comp._tuples_all(delta, tuple(counts), omegas)
+                            assert got == expected, (d, nu, h, delta, counts, omegas)

@@ -8,13 +8,14 @@ from snhurwitz.hurwitz import CoverSpec, RepeatedSpec, brute_force_connected, di
 from snhurwitz.partitions import Partition, dimension, partitions_of
 from snhurwitz.structure import (
     asymptotic_ratio,
-    candidate_moduli,
     extract_b_connected,
     extract_b_disconnected,
     spectrum,
     verify_theorem,
 )
 from snhurwitz.young_trees import central_character_from_trees
+
+from oracles import candidate_moduli, solve_b_connected
 
 P = Partition
 
@@ -91,24 +92,23 @@ def test_connected_routes_agree(cache):
             if nu.colength == 0:
                 continue
             for h in (0, 1):
-                a = extract_b_connected(h, d, (), nu, cache, method="solve")
-                b = extract_b_connected(h, d, (), nu, cache, method="series")
-                assert a.entries == b.entries, (d, nu, h)
+                solved = solve_b_connected(h, d, (), nu, cache)
+                assert solved == extract_b_connected(h, d, (), nu, cache).entries, (d, nu, h)
 
 
 def test_connected_routes_agree_with_fixed_profile(cache):
     for mus in [(P([3, 2]),), (P([2, 2, 1]),), (P([2, 1, 1, 1]),)]:
-        a = extract_b_connected(0, 5, mus, P([2, 1, 1, 1]), cache, method="solve")
-        b = extract_b_connected(0, 5, mus, P([2, 1, 1, 1]), cache, method="series")
-        assert a.entries == b.entries
+        solved = solve_b_connected(0, 5, mus, P([2, 1, 1, 1]), cache)
+        assert solved == extract_b_connected(0, 5, mus, P([2, 1, 1, 1]), cache).entries
 
 
 def test_connected_table_matches_brute_force(cache):
-    d, nu = 5, P([3, 1, 1])
-    table = extract_b_connected(0, d, (), nu, cache)
-    for k in (2, 4):
-        spec = RepeatedSpec(CoverSpec(0, d, ()), nu, k=k)
-        assert table.value_at(k) == brute_force_connected(spec.cover_spec())
+    d = 5
+    for h, mus, nu in [(0, (), P([3, 1, 1])), (1, (P([3, 1, 1]),), P([2, 1, 1, 1]))]:
+        table = extract_b_connected(h, d, mus, nu, cache)
+        for k in (2, 4):
+            spec = RepeatedSpec(CoverSpec(h, d, mus), nu, k=k)
+            assert table.value_at(k) == brute_force_connected(spec.cover_spec()), (h, k)
 
 
 def test_connected_top_coefficient_is_one(cache):
@@ -165,8 +165,7 @@ def test_theorem1_zero_gaps_d8_all_classes(cache):
         m_low = Fraction((7 - r) * fact8, r * 7 * factorial(8 - r))
         for h in (0, 1, 2):
             for mus in [()] + [(mu,) for mu in partitions_of(8)]:
-                table = extract_b_connected(h, 8, mus, P([r] + [1] * (8 - r)), cache,
-                                            method="series")
+                table = extract_b_connected(h, 8, mus, P([r] + [1] * (8 - r)), cache)
                 inside = [m for m in table.entries if m_low < m < m_mid or m_mid < m < m_top]
                 assert not inside, (r, h, mus, inside)
 
