@@ -121,35 +121,27 @@ def _cmd_hurwitz(args, cache) -> int:
     mus = _profiles(args.profile)
     params = {"kind": args.kind, "d": d, "h": h,
               "profiles": [str(p) for p in mus]}
-    if args.kind in ("connected", "bf-connected") and args.nu is None:
-        # connected without nu means an explicit profile list for brute force
-        if args.kind == "connected":
-            raise SnHurwitzError("connected needs --nu with --k or --g")
+    if args.kind == "connected" and args.nu is None:
+        raise SnHurwitzError("connected needs --nu with --k or --g")
+    cover = hurwitz.CoverSpec(h, d, mus)
     g = k = None
     if args.nu is not None:
         nu = parse(args.nu)
-        spec = hurwitz.RepeatedSpec(hurwitz.CoverSpec(h, d, mus), nu, k=args.k, g=args.g)
+        spec = hurwitz.RepeatedSpec(cover, nu, k=args.k, g=args.g)
         k = spec.point_count()
         g = spec.genus()
         params.update({"nu": str(nu), "k": k, "g": g})
-        if args.kind == "connected":
-            value = hurwitz.connected(spec, cache)
-            if not spec.parity_ok():
-                params["parity_violation"] = True
-        elif args.kind == "disconnected":
-            value = hurwitz.disconnected(spec.cover_spec(), cache)
-        elif args.kind == "bf-connected":
-            value = hurwitz.brute_force_connected(spec.cover_spec())
-        else:
-            value = hurwitz.brute_force_disconnected(spec.cover_spec())
+        cover = spec.cover_spec()
+    if args.kind == "connected":
+        value = hurwitz.connected(spec, cache)
+        if not spec.parity_ok():
+            params["parity_violation"] = True
+    elif args.kind == "disconnected":
+        value = hurwitz.disconnected(cover, cache)
+    elif args.kind == "bf-connected":
+        value = hurwitz.brute_force_connected(cover)
     else:
-        cover = hurwitz.CoverSpec(h, d, mus)
-        if args.kind == "disconnected":
-            value = hurwitz.disconnected(cover, cache)
-        elif args.kind == "bf-disconnected":
-            value = hurwitz.brute_force_disconnected(cover)
-        else:
-            value = hurwitz.brute_force_connected(cover)
+        value = hurwitz.brute_force_disconnected(cover)
     payload = {"command": "hurwitz", "params": params,
                "kind": args.kind, "h": h, "d": d, "g": g, "k": k,
                "profiles": params["profiles"], "value": str(value)}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .characters import CharCache, central_character, character_ratio
 from .errors import GenusError, HypothesisError, SizeMismatchError, SupportError
@@ -351,22 +351,41 @@ def _clause(cid: int, ok: bool, m=None, expected=None, got=None, note: str | Non
     return out
 
 
-def _gap_clause(cid: int, table: BTable, lo: Fraction, hi: Fraction) -> dict:
-    bad = [m for m in sorted(table.entries) if lo < m < hi]
-    if bad:
-        m = bad[0]
-        return _clause(cid, False, m=m, expected=0, got=table.coefficient(m),
-                       note=f"open interval ({lo}, {hi})")
-    return _clause(cid, True, note=f"zero on ({lo}, {hi})")
+def _ladder(table: BTable, rungs: list[tuple[Fraction, Fraction]]) -> list[dict]:
+    """Clauses for rungs [(m, expected b(m))], top first: the value at each
+    rung, and between consecutive rungs a gap clause (b vanishes on the open
+    interval).  Ids run 1, 2, 3, … in that order."""
+    clauses: list[dict] = []
+    hi = None
+    for m, expected in rungs:
+        if hi is not None:
+            bad = [x for x in sorted(table.entries) if m < x < hi]
+            if bad:
+                clauses.append(_clause(len(clauses) + 1, False, m=bad[0], expected=0,
+                                       got=table.coefficient(bad[0]),
+                                       note=f"open interval ({m}, {hi})"))
+            else:
+                clauses.append(_clause(len(clauses) + 1, True, note=f"zero on ({m}, {hi})"))
+        got = table.coefficient(m)
+        clauses.append(_clause(len(clauses) + 1, got == expected, m=m, expected=expected, got=got))
+        hi = m
+    return clauses
 
 
-def _value_clause(cid: int, table: BTable, m: Fraction, expected: Fraction) -> dict:
-    got = table.coefficient(m)
-    return _clause(cid, got == expected, m=m, expected=expected, got=got)
+def subleading_values(h: int, d: int, mus: tuple[Partition, ...]) -> tuple[Fraction, Fraction]:
+    """The closed forms d^{2−2h−s}·∏m₁(μ) and (d−1)^{2−2h−s}·∏(m₁(μ)−1) that
+    the statements and conjectures assert at their second and third moduli."""
+    e = 2 - 2 * h - len(mus)
+    return (Fraction(d) ** e * prod(mu.multiplicity(1) for mu in mus),
+            Fraction(d - 1) ** e * prod(mu.multiplicity(1) - 1 for mu in mus))
 
 
-def _power(base: int, exp: int) -> Fraction:
-    return Fraction(base) ** exp
+def mark_vacuous(table: BTable, clauses: list[dict]) -> None:
+    """A table no cover realizes satisfies every clause; say so in each note."""
+    if table.vacuous:
+        for c in clauses:
+            c["pass"] = True
+            c["note"] = (c.get("note", "") + " [vacuous: no exponent has even total colength]").strip()
 
 
 #: canonical statement names, keyed by their spelling without '-', '_' or case
@@ -397,98 +416,50 @@ def verify_theorem(
     LemmaDH2 (their disconnected counterparts).
     """
     mus = tuple(mus)
-    s = len(mus)
     name = statement_name(statement)
     if name is None:
         raise HypothesisError(f"unknown statement {statement!r}")
-
-    exp_d = _power(d, 2 - 2 * h - s)
-    exp_d1 = _power(d - 1, 2 - 2 * h - s)
-    prod_m1 = 1
-    prod_m1_minus = 1
-    for mu in mus:
-        prod_m1 *= mu.multiplicity(1)
-        prod_m1_minus *= mu.multiplicity(1) - 1
-
-    clauses: list[dict] = []
     params: dict = {"h": h, "d": d, "mus": [str(m) for m in mus]}
 
-    if name in ("T1", "PropDH"):
+    if name in ("T2", "LemmaDH2"):
+        if nu is None:
+            raise HypothesisError(f"{name} needs an explicit nu")
+        d_min = 5 if name == "T2" else 7
+        if d < d_min:
+            raise HypothesisError(f"{name} requires d ≥ {d_min}, got d={d}")
+        rungs = [(Fraction(factorial(d), nu.centralizer_order()), 1)]
+    else:
         if d < 7:
             raise HypothesisError(f"{name} requires d ≥ 7, got d={d}")
-        if r is None or not 2 <= r <= d - 2:
+        if name in ("T1", "PropDH") and (r is None or not 2 <= r <= d - 2):
             raise HypothesisError(f"{name} requires 2 ≤ r ≤ d−2, got r={r}")
+        val_d, val_d1 = subleading_values(h, d, mus)
+        if name == "T5":
+            r = d - 1
+            rungs = [(Fraction(d * factorial(d - 2)), 1), (Fraction(factorial(d - 2)), -val_d),
+                     (Fraction(2 * (d - 2) * factorial(d - 4)), val_d1)]
+        elif name == "T6":
+            r = d
+            rungs = [(Fraction(factorial(d - 1)), 1), (Fraction(factorial(d - 2)), val_d1)]
+        else:
+            top = (Fraction(factorial(d), r * factorial(d - r)), 1)
+            mid = (Fraction(factorial(d - 1), r * factorial(d - r - 1)), -val_d)
+            low = (Fraction((d - r - 1) * factorial(d), r * (d - 1) * factorial(d - r)), val_d1)
+            rungs = [top, mid, low] if name == "T1" else [top, low]
         params["r"] = r
         nu = Partition([r] + [1] * (d - r))
-        m_top = Fraction(factorial(d), r * factorial(d - r))
-        m_mid = Fraction(factorial(d - 1), r * factorial(d - r - 1))
-        m_low = Fraction((d - r - 1) * factorial(d), r * (d - 1) * factorial(d - r))
-        if name == "T1":
-            table = extract_b_connected(h, d, mus, nu, cache, parity)
-            clauses.append(_value_clause(1, table, m_top, Fraction(1)))
-            clauses.append(_gap_clause(2, table, m_mid, m_top))
-            clauses.append(_value_clause(3, table, m_mid, -exp_d * prod_m1))
-            clauses.append(_gap_clause(4, table, m_low, m_mid))
-            clauses.append(_value_clause(5, table, m_low, exp_d1 * prod_m1_minus))
-        else:
-            table = extract_b_disconnected(h, d, mus, nu, cache, parity)
-            clauses.append(_value_clause(1, table, m_top, Fraction(1)))
-            clauses.append(_gap_clause(2, table, m_low, m_top))
-            clauses.append(_value_clause(3, table, m_low, exp_d1 * prod_m1_minus))
-    elif name == "T5":
-        if d < 7:
-            raise HypothesisError(f"T5 requires d ≥ 7, got d={d}")
-        nu = Partition([d - 1, 1])
-        params["r"] = d - 1
-        table = extract_b_connected(h, d, mus, nu, cache, parity)
-        m_top = Fraction(d * factorial(d - 2))
-        m_mid = Fraction(factorial(d - 2))
-        m_low = Fraction(2 * (d - 2) * factorial(d - 4))
-        clauses.append(_value_clause(1, table, m_top, Fraction(1)))
-        clauses.append(_gap_clause(2, table, m_mid, m_top))
-        clauses.append(_value_clause(3, table, m_mid, -exp_d * prod_m1))
-        clauses.append(_gap_clause(4, table, m_low, m_mid))
-        clauses.append(_value_clause(5, table, m_low, exp_d1 * prod_m1_minus))
-    elif name == "T6":
-        if d < 7:
-            raise HypothesisError(f"T6 requires d ≥ 7, got d={d}")
-        nu = Partition([d])
-        params["r"] = d
-        table = extract_b_connected(h, d, mus, nu, cache, parity)
-        m_top = Fraction(factorial(d - 1))
-        m_mid = Fraction(factorial(d - 2))
-        clauses.append(_value_clause(1, table, m_top, Fraction(1)))
-        clauses.append(_gap_clause(2, table, m_mid, m_top))
-        clauses.append(_value_clause(3, table, m_mid, exp_d1 * prod_m1_minus))
-    elif name == "T2":
-        if nu is None:
-            raise HypothesisError("T2 needs an explicit nu")
-        if d < 5:
-            raise HypothesisError(f"T2 requires d ≥ 5, got d={d}")
-        table = extract_b_connected(h, d, mus, nu, cache, parity)
-        m_top = Fraction(factorial(d), nu.centralizer_order())
-        clauses.append(_value_clause(1, table, m_top, Fraction(1)))
+
+    extract = extract_b_disconnected if name in ("PropDH", "LemmaDH2") else extract_b_connected
+    table = extract(h, d, mus, nu, cache, parity)
+    clauses = _ladder(table, rungs)
+    if name in ("T2", "LemmaDH2"):
         bad = table.integrality_violations()
         clauses.append(_clause(2, not bad, m=bad[0] if bad else None,
                                note="integer after scaling by d!^{2h}·∏ d!/z"))
-    else:  # LemmaDH2
-        if nu is None:
-            raise HypothesisError("LemmaDH2 needs an explicit nu")
-        if d < 7:
-            raise HypothesisError(f"LemmaDH2 requires d ≥ 7, got d={d}")
-        table = extract_b_disconnected(h, d, mus, nu, cache, parity)
-        m_top = Fraction(factorial(d), nu.centralizer_order())
-        clauses.append(_value_clause(1, table, m_top, Fraction(1)))
-        bad = table.integrality_violations()
-        clauses.append(_clause(2, not bad, m=bad[0] if bad else None,
-                               note="integer after scaling by d!^{2h}·∏ d!/z"))
+    mark_vacuous(table, clauses)
 
     params["nu"] = str(nu)
     params["parity"] = "even" if table.parity == 0 else "odd"
-    if table.vacuous:
-        for c in clauses:
-            c["pass"] = True
-            c["note"] = (c.get("note", "") + " [vacuous: no exponent has even total colength]").strip()
     failing = [c for c in clauses if not c["pass"]]
     return {
         "theorem": name,

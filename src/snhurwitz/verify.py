@@ -15,8 +15,8 @@ from math import comb, factorial
 from .characters import CharCache, character_ratio
 from .errors import HypothesisError
 from .partitions import Partition, partitions_of
-from .structure import BTable, extract_b_connected
-from .young_trees import frobenius_central_character
+from .structure import BTable, extract_b_connected, mark_vacuous, subleading_values
+from .young_trees import count_straight_trees
 
 
 @dataclass
@@ -59,6 +59,21 @@ def _ratio(lam: Partition, mu: Partition, cache: CharCache | None) -> Fraction:
     return abs(character_ratio(lam, mu, cache))
 
 
+def _scan(lams: list[Partition], mu: Partition, bound, cache: CharCache | None
+          ) -> tuple[list[tuple[Partition, Fraction]], tuple[Fraction, Partition]]:
+    """The ratios |χ_λ(μ)|/dim λ over lams against a bound: the (λ, ratio)
+    pairs with ratio ≥ bound, in lams order, and (max ratio, argmax)."""
+    at_or_above = []
+    best: tuple[Fraction, Partition] | None = None
+    for lam in lams:
+        ratio = _ratio(lam, mu, cache)
+        if ratio >= bound:
+            at_or_above.append((lam, ratio))
+        if best is None or ratio > best[0]:
+            best = (ratio, lam)
+    return at_or_above, best
+
+
 def check_lemma_l1(lam: Partition, r: int, cache: CharCache | None = None) -> dict:
     """One straight-tree bound entry: |χ_λ(r,1^{d−r})|/dim λ against
     1/(r−1) + (r−2)/(r−1) · (Σ C(λ_i,r) + Σ C(λ'_i,r))/C(d,r)."""
@@ -67,8 +82,7 @@ def check_lemma_l1(lam: Partition, r: int, cache: CharCache | None = None) -> di
         raise HypothesisError(f"need 2 ≤ r ≤ d, got r={r}, d={d}")
     mu = Partition([r] + [1] * (d - r))
     lhs = _ratio(lam, mu, cache)
-    straight = sum(comb(v, r) for v in lam.parts)
-    straight += sum(comb(v, r) for v in lam.conjugate().parts)
+    straight = count_straight_trees(lam, r)
     rhs = Fraction(1, r - 1) + Fraction(r - 2, r - 1) * Fraction(straight, comb(d, r))
     return {
         "lambda": str(lam),
@@ -109,47 +123,35 @@ def _rm2_equality_set(d: int, r: int) -> list[Partition]:
     return [Partition([d - 1, 1]), Partition([2] + [1] * (d - 2))]
 
 
-def check_lemma_rm2(d: int, cache: CharCache | None = None, route: str = "chi") -> BoundReport:
+def check_lemma_rm2(d: int, cache: CharCache | None = None) -> BoundReport:
     """Second character-ratio bound for every class (r,1^{d−r}), 2 ≤ r ≤ d.
 
     For λ outside {(d),(1^d)} the ratio is at most |d−r−1|/(d−1), except
     r = d−1 where it is at most 2/(d(d−3)); the equality sets are checked
-    exactly.  route="frobenius" evaluates the r ≤ 4 slice through the
-    closed forms instead of the character recursion.
+    exactly.
     """
     if d < 7:
         raise HypothesisError(f"needs d ≥ 7, got {d}")
     start = time.perf_counter()
-    report = BoundReport("lemma-rm2", d, {"r": f"2..{d}", "route": route})
+    report = BoundReport("lemma-rm2", d, {"r": f"2..{d}", "route": "chi"})
     extreme = Partition([d]), Partition([1] * d)
     lams = [lam for lam in partitions_of(d) if lam not in extreme]
-    fact = factorial(d)
     for r in range(2, d + 1):
         bound = _rm2_bound(d, r)
+        hits, (top, argmax) = _scan(lams, Partition([r] + [1] * (d - r)), bound, cache)
+        report.checked += len(lams)
+        report.violations.extend(
+            {"r": r, "lambda": str(lam), "ratio": str(ratio), "bound": str(bound)}
+            for lam, ratio in hits if ratio > bound
+        )
         expected_eq = {str(p) for p in _rm2_equality_set(d, r)}
-        observed_eq = set()
-        best: tuple[Fraction, str] | None = None
-        for lam in lams:
-            if route == "frobenius" and r in (2, 3, 4):
-                f = frobenius_central_character(r, lam)
-                ratio = abs(Fraction(f * r * factorial(d - r), fact))
-            else:
-                ratio = _ratio(lam, Partition([r] + [1] * (d - r)), cache)
-            report.checked += 1
-            if ratio > bound:
-                report.violations.append(
-                    {"r": r, "lambda": str(lam), "ratio": str(ratio), "bound": str(bound)}
-                )
-            if ratio == bound:
-                observed_eq.add(str(lam))
-            if best is None or ratio > best[0]:
-                best = (ratio, str(lam))
+        observed_eq = {str(lam) for lam, ratio in hits if ratio == bound}
         if observed_eq != expected_eq:
             report.equality_mismatches.append(
                 {"r": r, "expected": sorted(expected_eq), "observed": sorted(observed_eq)}
             )
         report.equality_set.append({"r": r, "lambdas": sorted(observed_eq)})
-        report.extremal.append({"r": r, "max_ratio": str(best[0]), "argmax": best[1]})
+        report.extremal.append({"r": r, "max_ratio": str(top), "argmax": str(argmax)})
     report.runtime_seconds = time.perf_counter() - start
     return report
 
@@ -161,20 +163,17 @@ def check_theorem_B(d: int, cache: CharCache | None = None) -> BoundReport:
     start = time.perf_counter()
     report = BoundReport("theorem-B", d, {"mu": "all classes except (1^d)"})
     extreme = {str(Partition([d])), str(Partition([1] * d))}
-    for mu in partitions_of(d):
+    lams = partitions_of(d)
+    for mu in lams:
         if mu.colength == 0:
             continue
-        observed_eq = set()
-        for lam in partitions_of(d):
-            ratio = _ratio(lam, mu, cache)
-            report.checked += 1
-            inside = str(lam) in extreme
-            if ratio > 1 or (ratio == 1 and not inside):
-                report.violations.append(
-                    {"mu": str(mu), "lambda": str(lam), "ratio": str(ratio)}
-                )
-            if ratio == 1:
-                observed_eq.add(str(lam))
+        hits, _ = _scan(lams, mu, 1, cache)
+        report.checked += len(lams)
+        report.violations.extend(
+            {"mu": str(mu), "lambda": str(lam), "ratio": str(ratio)}
+            for lam, ratio in hits if ratio > 1 or str(lam) not in extreme
+        )
+        observed_eq = {str(lam) for lam, ratio in hits if ratio == 1}
         if observed_eq != extreme:
             report.equality_mismatches.append(
                 {"mu": str(mu), "expected": sorted(extreme), "observed": sorted(observed_eq)}
@@ -230,20 +229,13 @@ def check_conjecture1(d: int, cache: CharCache | None = None, jobs: int = 1) -> 
         if isinstance(clause, str):
             return {"mu": str(mu), "reason": clause}, None
         cid, bound, eq_expected = clause
-        observed = set()
-        violations = []
-        best: tuple[Fraction, str] | None = None
-        for lam in lams:
-            ratio = _ratio(lam, mu, cache)
-            if ratio > bound:
-                violations.append(
-                    {"mu": str(mu), "clause": cid, "lambda": str(lam),
-                     "ratio": str(ratio), "bound": str(bound)}
-                )
-            if ratio == bound:
-                observed.add(str(lam))
-            if best is None or ratio > best[0]:
-                best = (ratio, str(lam))
+        hits, (top, argmax) = _scan(lams, mu, bound, cache)
+        violations = [
+            {"mu": str(mu), "clause": cid, "lambda": str(lam),
+             "ratio": str(ratio), "bound": str(bound)}
+            for lam, ratio in hits if ratio > bound
+        ]
+        observed = {str(lam) for lam, ratio in hits if ratio == bound}
         expected = {str(p) for p in eq_expected}
         mismatch = None
         if observed != expected:
@@ -252,7 +244,7 @@ def check_conjecture1(d: int, cache: CharCache | None = None, jobs: int = 1) -> 
         result = {
             "mu": str(mu), "clause": cid, "checked": len(lams),
             "violations": violations, "mismatch": mismatch,
-            "extremal": {"max_ratio": str(best[0]), "argmax": best[1], "bound": str(bound)},
+            "extremal": {"max_ratio": str(top), "argmax": str(argmax), "bound": str(bound)},
         }
         return None, result
 
@@ -315,20 +307,12 @@ def check_conjecture_b(
     if nu.size != d:
         raise HypothesisError(f"nu={nu} does not partition d={d}")
     mus = tuple(mus)
-    s = len(mus)
     m1nu, m2nu = nu.multiplicity(1), nu.multiplicity(2)
     notes: list[str] = []
     z = nu.centralizer_order()
     fact = factorial(d)
     top = Fraction(fact, z)
-
-    prod_m1 = 1
-    prod_m1_minus = 1
-    for mu in mus:
-        prod_m1 *= mu.multiplicity(1)
-        prod_m1_minus *= mu.multiplicity(1) - 1
-    val_d = Fraction(d) ** (2 - 2 * h - s) * prod_m1
-    val_d1 = Fraction(d - 1) ** (2 - 2 * h - s) * prod_m1_minus
+    val_d, val_d1 = subleading_values(h, d, mus)
 
     if conj == "cH4":
         if m1nu < 2:
@@ -389,6 +373,7 @@ def check_conjecture_b(
         if m2nu == 0:
             gap_clause(4, Fraction(2 * factorial(d - 1), (d - 3) * z), m_mid)
 
+    mark_vacuous(table, clauses)
     failing = [c for c in clauses if not c["pass"]]
     return {
         "conjecture": conj,

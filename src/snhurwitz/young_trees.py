@@ -14,7 +14,6 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Iterable, NamedTuple
 
-from .characters import CharCache
 from .partitions import Partition
 
 
@@ -29,8 +28,8 @@ class Box(NamedTuple):
 class YoungTree:
     boxes: tuple[Box, ...]
     edges: tuple[tuple[Box, Box], ...]
-    vert: int
-    weight: int
+    vert: int  # number of vertical (same-column) edges
+    weight: int  # product of l(p)! over maximal one-line paths p
 
     @property
     def order(self) -> int:
@@ -126,16 +125,6 @@ def enumerate_trees(lam: Partition, r: int) -> list[YoungTree]:
     return out
 
 
-def vert(tree: YoungTree) -> int:
-    """Number of vertical (same-column) edges."""
-    return tree.vert
-
-
-def weight(tree: YoungTree) -> int:
-    """Product of l(p)! over maximal one-line paths p of the tree."""
-    return tree.weight
-
-
 def central_character_from_trees(lam: Partition, r: int) -> int:
     """Σ (−1)^vert · weight over Young trees of order r in lam.
 
@@ -214,16 +203,11 @@ def hook_envelope(lam: Partition) -> Partition:
     return Partition([lam.size + 1 - lam.length] + [1] * (lam.length - 1))
 
 
-# re-exported for callers that cross-check the tree route against the
-# character route without importing characters directly
 __all__ = [
     "Box",
     "YoungTree",
-    "CharCache",
     "induced_graph",
     "enumerate_trees",
-    "vert",
-    "weight",
     "central_character_from_trees",
     "frobenius_central_character",
     "straighten",

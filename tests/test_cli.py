@@ -119,9 +119,11 @@ def test_pretty_format(run):
 
 
 def test_conjecture_cli(run):
-    code, out, _ = run("conjecture", "cH9", "--d", "10", "--nu", "4,3,3")
-    assert code == 0
-    assert json.loads(out)["pass"] is True
+    # the second family is vacuous: l*(6,4) is even and l*(2,1^8) odd
+    for nu, extra in (("4,3,3", []), ("6,4", ["--profile", "2,1^8"])):
+        code, out, _ = run("conjecture", "cH9", "--d", "10", "--nu", nu, *extra)
+        assert code == 0
+        assert json.loads(out)["pass"] is True
 
 
 def test_verify_statement_aliases(run):

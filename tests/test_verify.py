@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -12,6 +13,7 @@ from snhurwitz.verify import (
     check_theorem_B,
     sweep_lemma_l1,
 )
+from snhurwitz.young_trees import frobenius_central_character
 
 P = Partition
 
@@ -54,11 +56,21 @@ def test_lemma_rm2_range(cache):
 
 
 def test_lemma_rm2_frobenius_route_identical(cache):
-    a = check_lemma_rm2(7, cache, route="chi")
-    b = check_lemma_rm2(7, cache, route="frobenius")
-    assert a.violations == b.violations
-    assert a.equality_set == b.equality_set
-    assert a.extremal == b.extremal
+    # the report's r ≤ 4 rows against ratios from the Frobenius closed forms
+    d = 7
+    rep = check_lemma_rm2(d, cache)
+    assert not rep.violations
+    lams = [lam for lam in partitions_of(d) if lam not in (P([d]), P([1] * d))]
+    eq = {item["r"]: item["lambdas"] for item in rep.equality_set}
+    ext = {item["r"]: item for item in rep.extremal}
+    for r in (2, 3, 4):
+        ratios = [abs(Fraction(frobenius_central_character(r, lam) * r * factorial(d - r), factorial(d)))
+                  for lam in lams]
+        bound = Fraction(d - r - 1, d - 1)
+        assert max(ratios) <= bound
+        assert eq[r] == sorted(str(lam) for lam, x in zip(lams, ratios) if x == bound)
+        top = max(ratios)
+        assert ext[r] == {"r": r, "max_ratio": str(top), "argmax": str(lams[ratios.index(top)])}
 
 
 def test_theorem_b(cache):
@@ -124,6 +136,15 @@ def test_ch9(cache):
         check_conjecture_b("cH9", 10, P([2] * 5), cache=cache)
     with pytest.raises(HypothesisError):
         check_conjecture_b("cH9", 10, P([4, 3, 2, 1]), cache=cache)
+
+
+def test_ch9_vacuous_family_passes(cache):
+    # l*(6,4) = 8 is even and l*(2,1^8) = 1 is odd: no exponent k gives an
+    # even total colength, so no cover exists and every clause holds
+    rep = check_conjecture_b("cH9", 10, P([6, 4]), mus=(P([2] + [1] * 8),), cache=cache)
+    assert rep["pass"] and rep["counterexample"] is None
+    for c in rep["clauses"]:
+        assert c["pass"] and "[vacuous: no exponent has even total colength]" in c["note"]
 
 
 def test_ch11_gap_holds_but_value_clause_fails(cache):
