@@ -9,29 +9,38 @@ repeated sweeps resume cheaply.
 from __future__ import annotations
 
 import os
+import tempfile
 import threading
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
-from .errors import CeilingError, ExactnessError, SizeMismatchError
+from .errors import CacheVersionError, CeilingError, ExactnessError, SizeMismatchError
 from .partitions import Partition, dimension
 
 _CACHE_VERSION = 1
+_HEADER_PREFIX = "# snhurwitz chi cache "
 _FLUSH_EVERY = 4096
+
+
+def _record(lam: tuple[int, ...], mu: tuple[int, ...], value: int) -> str:
+    return f"{sum(lam)}\t{','.join(map(str, lam))}\t{','.join(map(str, mu))}\t{value}\n"
 
 
 class CharCache:
     """Memo of character values keyed by partition pairs.
 
     With a path, records are loaded at construction and new values are
-    appended (buffered); a corrupt trailing record is tolerated and truncated.
-    Reads are lock-free; writes are serialized.  A cache hit always equals
-    recomputation.
+    appended (buffered).  Malformed records, a torn last line among them,
+    are skipped and counted in `skipped`, and the file is then rewritten
+    atomically with the good ones; a header of another format version is
+    refused.  Reads are lock-free; writes are serialized.  A cache hit
+    always equals recomputation.
     """
 
     def __init__(self, path: str | os.PathLike | None = None, max_degree: int = 30):
         self.max_degree = max_degree
+        self.skipped = 0
         self._values: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         self._path = Path(path) if path is not None else None
         self._pending: list[str] = []
@@ -41,30 +50,42 @@ class CharCache:
 
     # -- persistence ---------------------------------------------------
 
+    def _header(self) -> str:
+        return f"{_HEADER_PREFIX}v{_CACHE_VERSION} max_degree={self.max_degree}\n"
+
     def _load(self) -> None:
         if not self._path.exists():
             self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._path.write_text(f"# snhurwitz chi cache v{_CACHE_VERSION} max_degree={self.max_degree}\n")
+            self._path.write_text(self._header())
             return
-        good_end = 0
-        with open(self._path, "rb") as fh:
-            data = fh.read()
-        text = data.decode("utf-8", errors="replace")
-        pos = 0
-        for line in text.splitlines(keepends=True):
-            stripped = line.strip()
-            ok = True
-            if stripped and not stripped.startswith("#"):
-                ok = line.endswith("\n") and self._ingest(stripped)
-            elif not line.endswith("\n"):
-                ok = False
-            if not ok:
-                break
-            pos += len(line.encode("utf-8"))
-        good_end = pos
-        if good_end != len(data):
-            with open(self._path, "r+b") as fh:
-                fh.truncate(good_end)
+        text = self._path.read_bytes().decode("utf-8", errors="replace")
+        *lines, tail = text.split("\n")
+        first = lines[0] if lines else tail
+        if first.startswith(_HEADER_PREFIX):
+            version = first[len(_HEADER_PREFIX):].split(" ", 1)[0]
+            if version != f"v{_CACHE_VERSION}":
+                raise CacheVersionError(
+                    f"{self._path} has format {version}, this version reads v{_CACHE_VERSION}")
+        skipped = 1 if tail else 0
+        for line in lines:
+            line = line.strip()
+            if line and not line.startswith("#") and not self._ingest(line):
+                skipped += 1
+        self.skipped = skipped
+        if skipped:
+            self._rewrite()
+
+    def _rewrite(self) -> None:
+        """Replace the file with the header and every loaded record, atomically."""
+        fd, tmp = tempfile.mkstemp(dir=self._path.parent, prefix=self._path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(self._header())
+                fh.writelines(_record(lam, mu, v) for (lam, mu), v in self._values.items())
+            os.replace(tmp, self._path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def _ingest(self, line: str) -> bool:
         fields = line.split("\t")
@@ -108,7 +129,7 @@ class CharCache:
             self._values.clear()
             self._pending.clear()
             if self._path is not None:
-                self._path.write_text(f"# snhurwitz chi cache v{_CACHE_VERSION} max_degree={self.max_degree}\n")
+                self._path.write_text(self._header())
 
     # -- lookup --------------------------------------------------------
 
@@ -121,9 +142,7 @@ class CharCache:
                 return
             self._values[(lam, mu)] = value
             if self._path is not None:
-                lam_s = ",".join(map(str, lam))
-                mu_s = ",".join(map(str, mu))
-                self._pending.append(f"{sum(lam)}\t{lam_s}\t{mu_s}\t{value}\n")
+                self._pending.append(_record(lam, mu, value))
                 if len(self._pending) >= _FLUSH_EVERY:
                     self._flush_locked()
 

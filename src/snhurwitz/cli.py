@@ -14,6 +14,7 @@ CSV column orders (frozen):
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from . import characters, hurwitz, structure, verify, young_trees
 from .characters import CharCache
-from .errors import SnHurwitzError
+from .errors import CacheVersionError, SnHurwitzError
 from .parallel import default_jobs
 from .partitions import Partition, parse, partitions_of
 
@@ -49,9 +50,9 @@ def _emit(args, payload: dict, csv_rows: tuple[list[str], list[list]] | None = N
         if csv_rows is None:
             raise SnHurwitzError("this subcommand has no CSV form; use --format json")
         header, rows = csv_rows
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(x) for x in row))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([str(x) for x in row] for row in rows)
     else:
         _pretty(payload)
 
@@ -199,8 +200,10 @@ def _cmd_conjecture(args, cache) -> int:
     jobs = args.jobs or default_jobs()
     if args.which == "1":
         report = verify.check_conjecture1(args.d, cache, jobs=jobs).to_json()
+        failing = {e["mu"] for e in report["violations"] + report["equality_mismatches"]}
         rows = (["clause", "pass", "detail"],
-                [[e.get("clause", ""), True, e["mu"]] for e in report["equality_set"]])
+                [[e.get("clause", ""), e["mu"] not in failing, e["mu"]]
+                 for e in report["equality_set"]])
     else:
         report = verify.check_conjecture_b(
             args.which, args.d, parse(args.nu), h=args.target_genus,
@@ -324,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cache = _open_cache(args)
-    except OSError as exc:
+    except (OSError, CacheVersionError) as exc:
         print(f"error: cannot open cache: {exc}", file=sys.stderr)
         return 2
     try:

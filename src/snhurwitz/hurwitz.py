@@ -103,17 +103,29 @@ class RepeatedSpec:
         )
 
 
+@lru_cache(maxsize=None)
+def weights(h: int, delta: int) -> tuple[tuple[Partition, int], ...]:
+    """(λ, dim λ²·(δ!/dim λ)^{2h}) over all λ ⊢ δ.
+
+    These are δ!² times the (dim λ/δ!)^{2−2h} of the character sum, and
+    integers because dim λ divides δ!.
+    """
+    fact = factorial(delta)
+    out = []
+    for lam in partitions_of(delta):
+        dim = dimension(lam)
+        out.append((lam, dim * dim * (fact // dim) ** (2 * h)))
+    return tuple(out)
+
+
 def disconnected(spec: CoverSpec, cache: CharCache | None = None) -> Fraction:
     """Σ_λ (dim λ/d!)^{2−2h} ∏_i f_{θ^(i)}(λ), the disconnected cover count."""
-    d, h = spec.d, spec.h
-    total = Fraction(0)
-    fact = factorial(d)
-    for lam in partitions_of(d):
-        term = Fraction(dimension(lam), fact) ** (2 - 2 * h)
+    total = 0
+    for lam, term in weights(spec.h, spec.d):
         for theta in spec.profiles:
             term *= central_character(theta, lam, cache)
         total += term
-    return total
+    return Fraction(total, factorial(spec.d) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +380,9 @@ class NuSplitAlgebra:
     ν's non-unit parts, and unit parts pad each component up to its degree.
     The possible hand-offs are indexed here once per ν: `types` lists the
     sub-multisets, `choices[a]` the (taken, left-behind) index pairs of a
-    two-way split, and `point_profile` rebuilds the actual partition a point
-    shows to a component of a given degree.
+    two-way split, `fitting` keeps the pairs two given degrees can absorb,
+    and `point_profile` rebuilds the actual partition a point shows to a
+    component of a given degree.
     """
 
     def __init__(self, nu: Partition):
@@ -387,6 +400,18 @@ class NuSplitAlgebra:
                     rest.remove(v)
                 opts.append((self.tindex[b], self.tindex[tuple(rest)]))
             self.choices.append(opts)
+        self._fitting: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}
+
+    def fitting(self, d1: int, d2: int) -> list[list[tuple[int, int]]]:
+        """Per type, the (taken, left-behind) pairs whose non-unit parts fit
+        in d1 and d2 sheets; empty where the type itself needs more."""
+        hit = self._fitting.get((d1, d2))
+        if hit is None:
+            tsum = self.tsum
+            hit = [[(b, rest) for b, rest in opts if tsum[b] <= d1 and tsum[rest] <= d2]
+                   for opts in self.choices]
+            self._fitting[(d1, d2)] = hit
+        return hit
 
     def point_profile(self, tidx: int, delta: int) -> tuple[int, ...]:
         """The partition of delta a point of the given type imposes."""
@@ -421,9 +446,8 @@ class ConnectedComputer:
     its degree).  Memos persist across repeat counts, so sampling many k
     against one family is cheap.
 
-    All arithmetic is on integers: a δ-sheet piece sums the per-irreducible
-    weights dim λ²·(δ!/dim λ)^{2h}, which are integers because dim λ divides
-    δ!, and are δ!² times the (dim λ/δ!)^{2−2h} of the character sum.
+    All arithmetic is on integers: a δ-sheet piece sums the character-sum
+    weights of `weights(h, δ)`.
     """
 
     def __init__(self, h: int, d: int, mus: tuple[Partition, ...], nu: Partition,
@@ -434,11 +458,7 @@ class ConnectedComputer:
         self.nu = nu
         self.cache = cache
         self.algebra = NuSplitAlgebra(nu)
-        self.types = self.algebra.types
-        self.tsum = self.algebra.tsum
-        self.choices = self.algebra.choices
         self._fvals: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        self._weights: dict[int, list[tuple[Partition, int]]] = {}
         self._memo_t: dict = {}
         self._memo_tc: dict = {}
 
@@ -451,18 +471,6 @@ class ConnectedComputer:
             self._fvals[key] = hit
         return hit
 
-    def weights(self, delta: int) -> list[tuple[Partition, int]]:
-        """(λ, dim λ²·(δ!/dim λ)^{2h}) over all λ ⊢ δ."""
-        hit = self._weights.get(delta)
-        if hit is None:
-            fact = factorial(delta)
-            hit = []
-            for lam in partitions_of(delta):
-                dim = dimension(lam)
-                hit.append((lam, dim * dim * (fact // dim) ** (2 * self.h)))
-            self._weights[delta] = hit
-        return hit
-
     def _tuples_all(self, delta: int, counts: tuple[int, ...], omegas: tuple) -> int:
         """δ!·(disconnected count) for a δ-sheet piece with the given points."""
         key = (delta, counts, omegas)
@@ -470,7 +478,7 @@ class ConnectedComputer:
         if hit is not None:
             return hit
         total = 0
-        for lam, term in self.weights(delta):
+        for lam, term in weights(self.h, delta):
             for om in omegas:
                 term *= self.f(om, lam)
             for tidx, n in enumerate(counts):
@@ -486,17 +494,14 @@ class ConnectedComputer:
     def _point_splits(self, delta1: int, delta2: int, counts: tuple[int, ...]):
         """Yield (counts1, counts2, ways) over per-point sub-profile choices."""
         active = [(t, n) for t, n in enumerate(counts) if n]
+        fitting = self.algebra.fitting(delta1, delta2)
 
         def go(i: int, c1: list[int], c2: list[int], ways: int):
             if i == len(active):
                 yield tuple(c1), tuple(c2), ways
                 return
             tidx, n = active[i]
-            valid = [
-                (b, rest)
-                for b, rest in self.choices[tidx]
-                if self.tsum[b] <= delta1 and self.tsum[rest] <= delta2
-            ]
+            valid = fitting[tidx]
             if not valid:
                 return
 
@@ -519,7 +524,7 @@ class ConnectedComputer:
 
             yield from distribute(0, n, 1)
 
-        zero = [0] * len(self.types)
+        zero = [0] * len(self.algebra.types)
         yield from go(0, list(zero), list(zero), 1)
 
     def _tuples_transitive(self, delta: int, counts: tuple[int, ...], omegas: tuple) -> int:
@@ -543,7 +548,7 @@ class ConnectedComputer:
 
     def value(self, k: int) -> Fraction:
         """The connected Hurwitz number with k ν-points."""
-        counts = [0] * len(self.types)
+        counts = [0] * len(self.algebra.types)
         counts[self.algebra.full] = k
         omegas = tuple(m.parts for m in self.mus)
         count = self._tuples_transitive(self.d, tuple(counts), omegas)

@@ -3,10 +3,11 @@
 For a fixed degree, target genus, fixed profiles μ^(1..s) and one repeated
 profile ν, both the disconnected and connected Hurwitz numbers are finite
 sums  prefactor · Σ_m b(m)·m^k  over positive integer moduli m, where k is
-the number of ν-points.  The disconnected coefficients come straight from
-the central-character spectrum; the connected ones by pushing the
-component-peeling recursion through tables of eigenvalue functions, checked
-against the count-level recursion at held-out exponents.
+the number of ν-points.  Both tables fold one table of eigenvalue functions
+by the eigenvalue of ν: the character sum grouped by eigenfunction for the
+disconnected table, and the same after the component-peeling recursion for
+the connected one.  Each table is checked against the count it expands
+(the character sum, or the count-level recursion) at held-out exponents.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .characters import CharCache, central_character, character_ratio
+from .characters import CharCache, central_character
+from .characters import character_ratio  # noqa: F401  (rebound by bench/workloads.py's tracing)
 from .errors import GenusError, HypothesisError, SizeMismatchError, SupportError
-from .hurwitz import ConnectedComputer, CoverSpec, disconnected, mu_splits
-from .partitions import Partition, dimension, partitions_of
+from .hurwitz import ConnectedComputer, CoverSpec, disconnected, mu_splits, weights
+from .partitions import Partition, partitions_of
 
 
 # ---------------------------------------------------------------------------
@@ -42,29 +44,16 @@ class Spectrum:
         """Distinct nonzero |t| in decreasing order."""
         return sorted({abs(t) for _, t in self.entries if t}, reverse=True)
 
-    def by_modulus(self) -> dict[int, list[tuple[Partition, int]]]:
-        out: dict[int, list[tuple[Partition, int]]] = {}
-        for lam, t in self.entries:
-            out.setdefault(abs(t), []).append((lam, t))
-        return out
 
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "nu": str(self.nu),
-            "m_max": str(self.m_max),
-            "groups": {
-                str(m): [[str(lam), str(t)] for lam, t in group]
-                for m, group in sorted(self.by_modulus().items(), reverse=True)
-            },
-        }
-
-
-def spectrum(d: int, nu: Partition, cache: CharCache | None = None) -> Spectrum:
+def _check_nu(d: int, nu: Partition) -> None:
     if nu.size != d:
         raise SizeMismatchError(f"nu={nu} does not partition d={d}")
     if nu.colength == 0:
         raise ValueError("nu=(1^d) is degenerate: every eigenvalue is 1")
+
+
+def spectrum(d: int, nu: Partition, cache: CharCache | None = None) -> Spectrum:
+    _check_nu(d, nu)
     entries = tuple((lam, central_character(nu, lam, cache)) for lam in partitions_of(d))
     return Spectrum(d, nu, entries)
 
@@ -74,11 +63,13 @@ def spectrum(d: int, nu: Partition, cache: CharCache | None = None) -> Spectrum:
 # ---------------------------------------------------------------------------
 
 
+def _integer_scale(h: int, d: int, mus: tuple[Partition, ...]) -> int:
+    """d!^{2h}·∏(d!/z_{μ^(i)}), the factor that makes every b(m) integral."""
+    return factorial(d) ** (2 * h) * prod(factorial(d) // mu.centralizer_order() for mu in mus)
+
+
 def _prefactor(h: int, d: int, mus: tuple[Partition, ...]) -> Fraction:
-    out = Fraction(2 * factorial(d) ** (2 * h), factorial(d) ** 2)
-    for mu in mus:
-        out *= Fraction(factorial(d), mu.centralizer_order())
-    return out
+    return Fraction(2 * _integer_scale(h, d, mus), factorial(d) ** 2)
 
 
 def _resolve_parity(nu: Partition, mus: tuple[Partition, ...], parity: int | None) -> tuple[int, bool]:
@@ -100,7 +91,8 @@ def _resolve_parity(nu: Partition, mus: tuple[Partition, ...], parity: int | Non
 
 @dataclass
 class BTable:
-    """Moduli → coefficients of one Hurwitz sequence, for one exponent parity."""
+    """Moduli → coefficients of one Hurwitz sequence, for one exponent parity;
+    entries run in decreasing m."""
 
     kind: str
     h: int
@@ -130,15 +122,8 @@ class BTable:
             raise GenusError(f"table holds for k ≡ {self.parity} (mod 2), got k={k}")
         return self.prefactor * sum((b * m**k for m, b in self.entries.items()), Fraction(0))
 
-    def integer_scale(self) -> Fraction:
-        """d!^{2h}·∏(d!/z_{μ^(i)}), the factor that makes every b(m) integral."""
-        out = Fraction(factorial(self.d) ** (2 * self.h))
-        for mu in self.mus:
-            out *= Fraction(factorial(self.d), mu.centralizer_order())
-        return out
-
     def integrality_violations(self) -> list[int]:
-        scale = self.integer_scale()
+        scale = _integer_scale(self.h, self.d, self.mus)
         return [m for m, b in self.entries.items() if (scale * b).denominator != 1]
 
     def to_json(self) -> dict:
@@ -153,42 +138,6 @@ class BTable:
             "prefactor": str(self.prefactor),
             "entries": {str(m): str(b) for m, b in sorted(self.entries.items(), reverse=True)},
         }
-
-
-def extract_b_disconnected(
-    h: int,
-    d: int,
-    mus: tuple[Partition, ...],
-    nu: Partition,
-    cache: CharCache | None = None,
-    parity: int | None = None,
-) -> BTable:
-    """Fold the eigenvalue spectrum into the disconnected coefficient table.
-
-    b(m) = ½ Σ_{λ: |t_λ|=m} (dim λ)^{2−2h} · sgn(t_λ)^k · ∏_i χ_λ(μ^(i))/dim λ,
-    with k's parity fixed.  The reconstruction identity against the character
-    sum is checked at three exponents before returning.
-    """
-    par, vacuous = _resolve_parity(nu, mus, parity)
-    spec = spectrum(d, nu, cache)
-    entries: dict[int, Fraction] = {}
-    for lam, t in spec.entries:
-        if t == 0:
-            continue
-        term = Fraction(dimension(lam)) ** (2 - 2 * h)
-        if t < 0 and par == 1:
-            term = -term
-        for mu in mus:
-            term *= character_ratio(lam, mu, cache)
-        m = abs(t)
-        entries[m] = entries.get(m, Fraction(0)) + term / 2
-    entries = {m: b for m, b in entries.items() if b}
-    table = BTable("disconnected", h, d, tuple(mus), nu, par, entries, vacuous)
-    for k in _sample_exponents(par, 3):
-        direct = disconnected(CoverSpec(h, d, tuple(mus) + (nu,) * k), cache)
-        if table.value_at(k) != direct:
-            raise SupportError(f"disconnected table fails reconstruction at k={k}")
-    return table
 
 
 def _sample_exponents(parity: int, count: int, start_at_least: int = 1) -> list[int]:
@@ -209,17 +158,16 @@ class _TableComputer:
     whole k-dependence of a Hurwitz sequence is carried symbolically and the
     connected table falls out of one recursion instead of many evaluations.
 
-    Coefficients are integers: a degree-δ table holds δ!² times the
-    character-sum weights (see ConnectedComputer), which puts an extra
-    binomial comb(δ, δ₁) on each convolution term and leaves one division
-    for signed_coefficients.
+    Coefficients are integers: a degree-δ table holds the weights of
+    `hurwitz.weights`, δ!² times the character sum's (dim λ/δ!)^{2−2h}, which
+    puts an extra binomial comb(δ, δ₁) on each convolution term and leaves
+    one division for the fold into b(m).
     """
 
     def __init__(self, computer: ConnectedComputer):
         self.computer = computer
         self.alg = computer.algebra
         self._eigs: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
-        self._plans: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}
         self._t: dict = {}
         self._tc: dict = {}
 
@@ -236,17 +184,8 @@ class _TableComputer:
         return hit
 
     def convolve(self, d1: int, e1: tuple[int, ...], d2: int, e2: tuple[int, ...]) -> tuple[int, ...]:
-        pairs_by_type = self._plans.get((d1, d2))
-        if pairs_by_type is None:
-            # hand-off choices each side can absorb; empty where tsum > d1 + d2
-            tsum = self.alg.tsum
-            pairs_by_type = [
-                [(b, rest) for b, rest in opts if tsum[b] <= d1 and tsum[rest] <= d2]
-                for opts in self.alg.choices
-            ]
-            self._plans[(d1, d2)] = pairs_by_type
         out = []
-        for pairs in pairs_by_type:
+        for pairs in self.alg.fitting(d1, d2):
             acc = 0
             for b, rest in pairs:
                 acc += e1[b] * e2[rest]
@@ -254,13 +193,14 @@ class _TableComputer:
         return tuple(out)
 
     def t_table(self, delta: int, omegas: tuple) -> dict[tuple[int, ...], int]:
+        """The character sum of a δ-sheet piece, grouped by eigenfunction."""
         key = (delta, omegas)
         hit = self._t.get(key)
         if hit is not None:
             return hit
         f = self.computer.f
         table: dict[tuple[int, ...], int] = {}
-        for lam, coeff in self.computer.weights(delta):
+        for lam, coeff in weights(self.computer.h, delta):
             for om in omegas:
                 coeff *= f(om, lam)
             if not coeff:
@@ -272,6 +212,7 @@ class _TableComputer:
         return table
 
     def tc_table(self, delta: int, omegas: tuple) -> dict[tuple[int, ...], int]:
+        """As t_table, for transitive tuples only: sheet 1's component peeled off."""
         key = (delta, omegas)
         hit = self._tc.get(key)
         if hit is not None:
@@ -291,46 +232,67 @@ class _TableComputer:
         self._tc[key] = table
         return table
 
-    def signed_coefficients(self) -> dict[int, Fraction]:
-        """Signed eigenvalue → coefficient of t^k in the connected sequence,
-        normalized so the table matches the shared prefactor convention."""
-        c = self.computer
-        full = self.alg.full
-        sums: dict[int, int] = {}
-        for e, coeff in self.tc_table(c.d, tuple(m.parts for m in c.mus)).items():
-            t = e[full]
-            if t:
-                sums[t] = sums.get(t, 0) + coeff
-        norm = factorial(c.d) ** 2 * _prefactor(c.h, c.d, c.mus)
-        return {t: s / norm for t, s in sums.items() if s}
+
+def _extract(kind: str, h: int, d: int, mus: tuple[Partition, ...], nu: Partition,
+             cache: CharCache | None, parity: int | None) -> BTable:
+    """Fold the degree-d table of the given kind into b(m), then check it.
+
+    Each eigenfunction e adds its coefficient to m = |t|, t = e[ν], with
+    sign sgn(t)^k for k of the table's parity; each sum is divided by
+    2·d!^{2h}·∏(d!/z_μ), and the entries run in decreasing m.  The table is
+    then checked at held-out exponents of its parity against the count it
+    expands.
+    """
+    par, vacuous = _resolve_parity(nu, mus, parity)
+    _check_nu(d, nu)
+    mus = tuple(mus)
+    computer = ConnectedComputer(h, d, mus, nu, cache)
+    tables = _TableComputer(computer)
+    build = tables.tc_table if kind == "connected" else tables.t_table
+    full = computer.algebra.full
+    folded: dict[int, int] = {}
+    for e, coeff in build(d, tuple(m.parts for m in mus)).items():
+        t = e[full]
+        if t:
+            folded[abs(t)] = folded.get(abs(t), 0) + (coeff if (t > 0 or par == 0) else -coeff)
+    norm = 2 * _integer_scale(h, d, mus)
+    entries = {m: Fraction(b, norm) for m, b in sorted(folded.items(), reverse=True) if b}
+    table = BTable(kind, h, d, mus, nu, par, entries, vacuous)
+    if kind == "connected":
+        count, check, failure = 2, computer.value, "connected table fails held-out reconstruction"
+    else:
+        count, failure = 3, "disconnected table fails reconstruction"
+
+        def check(k: int) -> Fraction:
+            return disconnected(CoverSpec(h, d, mus + (nu,) * k), cache)
+
+    for k in _sample_exponents(par, count):
+        if table.value_at(k) != check(k):
+            raise SupportError(f"{failure} at k={k}")
+    return table
 
 
-def extract_b_connected(
-    h: int,
-    d: int,
-    mus: tuple[Partition, ...],
-    nu: Partition,
-    cache: CharCache | None = None,
-    parity: int | None = None,
-) -> BTable:
+def extract_b_disconnected(h: int, d: int, mus: tuple[Partition, ...], nu: Partition,
+                           cache: CharCache | None = None, parity: int | None = None) -> BTable:
+    """Disconnected coefficient table: the character sum grouped by the
+    eigenvalue t_λ of ν,
+
+    b(m) = ½ Σ_{λ: |t_λ|=m} (dim λ)^{2−2h} · sgn(t_λ)^k · ∏_i χ_λ(μ^(i))/dim λ,
+
+    with k's parity fixed.  Checked against the character sum at three
+    exponents before returning.
+    """
+    return _extract("disconnected", h, d, mus, nu, cache, parity)
+
+
+def extract_b_connected(h: int, d: int, mus: tuple[Partition, ...], nu: Partition,
+                        cache: CharCache | None = None, parity: int | None = None) -> BTable:
     """Connected coefficient table by the eigenvalue-table recursion.
 
     The table is checked at two exponents of its parity against the
     count-level recursion (ConnectedComputer.value) before it is returned.
     """
-    par, vacuous = _resolve_parity(nu, mus, parity)
-    mus = tuple(mus)
-    computer = ConnectedComputer(h, d, mus, nu, cache)
-    entries: dict[int, Fraction] = {}
-    for t, c in _TableComputer(computer).signed_coefficients().items():
-        m = abs(t)
-        entries[m] = entries.get(m, Fraction(0)) + (c if (t > 0 or par == 0) else -c)
-    entries = {m: b for m, b in entries.items() if b}
-    table = BTable("connected", h, d, mus, nu, par, entries, vacuous)
-    for k in _sample_exponents(par, 2):
-        if table.value_at(k) != computer.value(k):
-            raise SupportError(f"connected table fails held-out reconstruction at k={k}")
-    return table
+    return _extract("connected", h, d, mus, nu, cache, parity)
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +448,5 @@ def asymptotic_ratio(
     mus = tuple(mus)
     spec = RepeatedSpec(CoverSpec(h, d, mus), nu, g=g)
     k = spec.point_count()
-    leading = 2 * Fraction(factorial(d)) ** (len(mus) + 2 * h - 2)
-    for mu in mus:
-        leading /= mu.centralizer_order()
-    leading *= Fraction(factorial(d), nu.centralizer_order()) ** k
-    if leading == 0:
-        raise ArithmeticError("leading term vanished (bug)")
+    leading = _prefactor(h, d, mus) * Fraction(factorial(d), nu.centralizer_order()) ** k
     return connected(spec, cache) / leading

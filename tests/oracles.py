@@ -1,23 +1,27 @@
-"""The sampling-and-solve route to connected b(m) tables, kept as a test oracle.
+"""Independent routes to b(m) tables, kept as test oracles.
 
-It recovers a table from values of the count-level recursion alone: sample
-the connected sequence at as many exponents of the table's parity as there
-are candidate moduli, then solve the exact Vandermonde-type moment system.
-The values come from ConnectedComputer.value, not from the library's
-eigenvalue-table recursion, so the two routes cross-check each other; the
-candidate support reuses only the tables' eigenfunction and convolution
-helpers.
+The sampling-and-solve route recovers a connected table from values of the
+count-level recursion alone: sample the connected sequence at as many
+exponents of the table's parity as there are candidate moduli, then solve
+the exact Vandermonde-type moment system.  The values come from
+ConnectedComputer.value, not from the library's eigenvalue-table recursion,
+so the two routes cross-check each other; the candidate support reuses only
+the tables' eigenfunction and convolution helpers.
+
+The spectrum fold builds a disconnected table straight from the signed
+central-character eigenvalues and the character ratios, in Fractions, so it
+shares neither the weights nor the table fold of the library route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from snhurwitz.characters import CharCache
+from snhurwitz.characters import CharCache, character_ratio
 from snhurwitz.errors import SupportError
 from snhurwitz.hurwitz import ConnectedComputer
-from snhurwitz.partitions import Partition, partitions_of
-from snhurwitz.structure import _prefactor, _resolve_parity, _sample_exponents, _TableComputer
+from snhurwitz.partitions import Partition, dimension, partitions_of
+from snhurwitz.structure import _prefactor, _resolve_parity, _sample_exponents, _TableComputer, spectrum
 
 _CANDIDATE_MEMO: dict[tuple[int, tuple[int, ...]], list[int]] = {}
 
@@ -106,3 +110,32 @@ def solve_b_connected(
     values = [computer.value(k) / prefac for k in ks]
     entries = _solve_moment_system(support, ks[0], values)
     return {m: b for m, b in entries.items() if b}
+
+
+def spectrum_b_disconnected(
+    h: int,
+    d: int,
+    mus: tuple[Partition, ...],
+    nu: Partition,
+    cache: CharCache | None = None,
+    parity: int | None = None,
+) -> tuple[dict[int, Fraction], int, bool]:
+    """Disconnected (entries, parity, vacuous) folded from the eigenvalue spectrum:
+
+    b(m) = ½ Σ_{λ: |t_λ|=m} (dim λ)^{2−2h} · sgn(t_λ)^k · ∏_i χ_λ(μ^(i))/dim λ,
+
+    entries in decreasing m, as the library orders them.
+    """
+    par, vacuous = _resolve_parity(nu, mus, parity)
+    entries: dict[int, Fraction] = {}
+    for lam, t in spectrum(d, nu, cache).entries:
+        if t == 0:
+            continue
+        term = Fraction(dimension(lam)) ** (2 - 2 * h)
+        if t < 0 and par == 1:
+            term = -term
+        for mu in mus:
+            term *= character_ratio(lam, mu, cache)
+        m = abs(t)
+        entries[m] = entries.get(m, Fraction(0)) + term / 2
+    return {m: b for m, b in sorted(entries.items(), reverse=True) if b}, par, vacuous

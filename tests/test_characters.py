@@ -11,7 +11,7 @@ from snhurwitz.characters import (
     chi,
     one_cycle_central_character,
 )
-from snhurwitz.errors import SizeMismatchError
+from snhurwitz.errors import CacheVersionError, SizeMismatchError
 from snhurwitz.partitions import Partition, dimension, partitions_of
 
 
@@ -185,6 +185,42 @@ def test_cache_truncates_corrupt_trailing_record(tmp_path):
     with CharCache(path) as c3:
         assert c3.stats()["entries"] == entries
         chi(Partition([5, 4]), Partition([3, 3, 3]), c3)
+
+
+def test_cache_skips_malformed_middle_line(tmp_path):
+    path = tmp_path / "chi.tsv"
+    with CharCache(path) as c1:
+        for d in range(1, 9):
+            for lam in partitions_of(d):
+                for mu in partitions_of(d):
+                    chi(lam, mu, c1)
+    header, *records = path.read_text().splitlines(keepends=True)
+    bad = len(records) // 2
+    path.write_text(header + "".join(records[:bad]) + "garbage\n" + "".join(records[bad + 1:]))
+    with CharCache(path) as c2:
+        assert c2.stats()["entries"] == len(records) - 1 and c2.skipped == 1
+        lost = tuple(tuple(map(int, f.split(","))) for f in records[bad].split("\t")[1:3])
+        assert c2.lookup(*lost) is None
+    # rewritten with the header and every good record, then loaded as is
+    rewritten = path.read_text()
+    assert rewritten.splitlines(keepends=True) == [header] + records[:bad] + records[bad + 1:]
+    fresh = CharCache()
+    with CharCache(path) as c3:
+        assert c3.stats()["entries"] == len(records) - 1 and c3.skipped == 0
+        for lam in partitions_of(8):
+            for mu in partitions_of(8):
+                if (lam.parts, mu.parts) != lost:
+                    assert c3.lookup(lam.parts, mu.parts) == chi(lam, mu, fresh)
+    assert path.read_text() == rewritten
+
+
+def test_cache_rejects_unknown_version(tmp_path):
+    path = tmp_path / "chi.tsv"
+    text = "# snhurwitz chi cache v99 max_degree=30\n2\t2\t2\t1\n"
+    path.write_text(text)
+    with pytest.raises(CacheVersionError, match="v99"):
+        CharCache(path)
+    assert path.read_text() == text
 
 
 def test_cache_clear(tmp_path):

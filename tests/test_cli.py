@@ -1,7 +1,10 @@
+import csv
 import json
+from fractions import Fraction
 
 import pytest
 
+from snhurwitz import verify
 from snhurwitz.cli import main
 
 
@@ -113,6 +116,14 @@ def test_cache_subcommands(run, tmp_path):
     assert json.loads(out)["entries"] == 0
 
 
+def test_unknown_cache_version_exits_2(run, tmp_path):
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / "chi-cache.tsv").write_text("# snhurwitz chi cache v99 max_degree=30\n")
+    code, out, err = run("cache", "stats")
+    assert code == 2 and not out
+    assert err.startswith("error: cannot open cache: ") and "v99" in err
+
+
 def test_pretty_format(run):
     code, out, _ = run("--format", "pretty", "chi", "--lambda", "3,1", "--mu", "2,2")
     assert code == 0 and "chi:" in out
@@ -124,6 +135,25 @@ def test_conjecture_cli(run):
         code, out, _ = run("conjecture", "cH9", "--d", "10", "--nu", nu, *extra)
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+
+def test_conjecture1_csv_pass_column(run, monkeypatch):
+    # with clause 1's bound forced to 0 every clause-1 μ has violations
+    clause = verify._conjecture1_clause
+
+    def patched(d, mu):
+        out = clause(d, mu)
+        if isinstance(out, tuple) and out[0] == 1:
+            return 1, Fraction(0), out[2]
+        return out
+
+    monkeypatch.setattr(verify, "_conjecture1_clause", patched)
+    code, out, _ = run("--format", "csv", "--jobs", "1", "conjecture", "1", "--d", "10")
+    assert code == 1
+    header, *rows = csv.reader(out.splitlines())
+    assert header == ["clause", "pass", "detail"]
+    assert {row[0] for row in rows} == {"1", "2", "3"}
+    assert all(row[1] == ("False" if row[0] == "1" else "True") for row in rows)
 
 
 def test_verify_statement_aliases(run):

@@ -5,6 +5,7 @@
 ``"runtime"`` value is recorded as 0 and normalized the same way here.
 """
 
+import csv
 import json
 import re
 from pathlib import Path
@@ -21,3 +22,12 @@ def test_cli_output_matches_golden(case, capsys):
     code = main(case["argv"])
     out = re.sub(r'"runtime": [^,\n]+', '"runtime": 0', capsys.readouterr().out)
     assert (code, out) == (case["exit"], case["stdout"])
+
+
+CSV_CASES = [c for c in CASES if c["argv"][:2] == ["--format", "csv"] and c["stdout"]]
+
+
+@pytest.mark.parametrize("case", CSV_CASES, ids=lambda c: " ".join(c["argv"][3:]))
+def test_csv_records_keep_the_header_width(case):
+    header, *rows = csv.reader(case["stdout"].splitlines())
+    assert rows and all(len(row) == len(header) for row in rows)

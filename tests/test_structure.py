@@ -15,7 +15,7 @@ from snhurwitz.structure import (
 )
 from snhurwitz.young_trees import central_character_from_trees
 
-from oracles import candidate_moduli, solve_b_connected
+from oracles import candidate_moduli, solve_b_connected, spectrum_b_disconnected
 
 P = Partition
 
@@ -77,6 +77,32 @@ def test_disconnected_gap_example(cache):
     table = extract_b_disconnected(0, 7, (), P([2] + [1] * 5), cache)
     assert sorted(table.entries) == [1, 3, 6, 7, 9, 14, 21]
     assert table.coefficient(14) == 36  # (d-1)^2
+
+
+def test_disconnected_table_matches_spectrum_fold(cache):
+    # the oracle folds signed eigenvalues and character ratios in Fractions,
+    # sharing neither the weights nor the table fold of the library route;
+    # parities None and 1 reach both tables of an even l*(ν) and, for odd
+    # l*(ν), the forced table and the inconsistent request
+    for d in range(2, 8):
+        ps = partitions_of(d)
+        mu_lists = [()] + [(mu,) for mu in ps] + list(zip(ps, ps[1:]))
+        for nu in ps:
+            if nu.colength == 0:
+                continue
+            for h in (0, 1, 2):
+                for mus in mu_lists:
+                    for parity in (None, 1):
+                        try:
+                            expected = spectrum_b_disconnected(h, d, mus, nu, cache, parity)
+                        except GenusError:
+                            with pytest.raises(GenusError):
+                                extract_b_disconnected(h, d, mus, nu, cache, parity)
+                            continue
+                        table = extract_b_disconnected(h, d, mus, nu, cache, parity)
+                        got = (list(table.entries.items()), table.parity, table.vacuous)
+                        entries, par, vacuous = expected
+                        assert got == (list(entries.items()), par, vacuous), (d, nu, h, mus, parity)
 
 
 def test_candidate_moduli_include_pair_eigenvalues(cache):
