@@ -4,8 +4,11 @@ Disconnected counts come from the character (Burnside) sum; connected
 counts from the degree-convolution recursion that peels off the component
 containing sheet 1, with repeated branch points aggregated by the multiset
 of per-point sub-profiles.  Independent permutation-level oracles count
-monodromy tuples directly (as a dynamic program over the group algebra,
-tracking the orbit-join partition for the transitive restriction).
+monodromy tuples directly, using no characters: a distribution over
+(partial product, joined orbit partition) advances one branch point at a
+time by row gathers through numpy multiplication tables, after its orbit
+columns are folded onto their joins once per orbit partition of the point's
+class; the transitive count is the mass on the full partition.
 """
 
 from __future__ import annotations
@@ -19,12 +22,15 @@ from math import comb, factorial
 import numpy as np
 
 from .characters import CharCache, central_character
-from .errors import BudgetError, GenusError, SizeMismatchError
+from .errors import BudgetError, ExactnessError, GenusError, SizeMismatchError
 from .partitions import Partition, dimension, partitions_of, splits
 
 #: elementary-operation budget for the permutation-level oracles
 DEFAULT_BF_BUDGET = 300_000_000
 _BF_MAX_DEGREE = 6
+#: rows per sorted copy in the orbit fold: all of S(5), and at d = 6 a copy
+#: of a sixth of the state in place of a whole one
+_FOLD_ROWS = 120
 
 
 @dataclass(frozen=True)
@@ -134,153 +140,101 @@ def disconnected(spec: CoverSpec, cache: CharCache | None = None) -> Fraction:
 
 
 class _Group:
-    """Cached multiplication/conjugacy/orbit tables for one S(d)."""
+    """numpy tables for one S(d), built once per degree.
+
+    Permutations are indexed in lexicographic order (the identity is 0);
+    `mult[i, j]` indexes p_i∘p_j and `inv[i]` indexes p_i⁻¹.  A set partition
+    of the d sheets is a row of `blocks`, whose entry x is the bit mask of
+    x's block; partitions are ordered by their block minima, so the full
+    partition comes first and the discrete one last.  `join[a, b]` indexes
+    the finest partition coarser than both, `orbit_of_perm[i]` the cycle
+    partition of p_i, and `classes` maps a cycle type to the sorted indices
+    of its conjugacy class.
+    """
 
     def __init__(self, d: int):
         self.d = d
-        self.perms = list(permutations(range(d)))
-        self.index = {p: i for i, p in enumerate(self.perms)}
-        self.order = len(self.perms)
-        self.identity = self.index[tuple(range(d))]
-        n = self.order
-        mult = np.empty((n, n), dtype=np.int32)
-        for i, p in enumerate(self.perms):
-            for j, q in enumerate(self.perms):
-                mult[i, j] = self.index[tuple(p[q[x]] for x in range(d))]
-        self.mult = mult
-        inv = np.empty(n, dtype=np.int32)
-        for i, p in enumerate(self.perms):
-            q = [0] * d
-            for x, px in enumerate(p):
-                q[px] = x
-            inv[i] = self.index[tuple(q)]
-        self.inv = inv
-        self._partitions: list[tuple[tuple[int, ...], ...]] | None = None
-        self._join: np.ndarray | None = None
-        self._orbit_of_perm: np.ndarray | None = None
+        perms = np.array(list(permutations(range(d))))
+        digits = d ** np.arange(d - 1, -1, -1)
+        rank = _ranks(perms @ digits, d)
+        self.order = n = len(perms)
+        self.identity = 0
+        # indices below 6! = 720 fit int16, which halves the d = 6 tables
+        self.mult = np.empty((n, n), dtype=np.int16)
+        for i, p in enumerate(perms):
+            self.mult[i] = rank[p[perms] @ digits]
+        self.inv = self.mult.argmin(axis=1).astype(np.int16)  # p_i∘p_j = identity = 0
+        bit = (1 << np.arange(d)).astype(np.uint8)
+        cycles = _closure(bit | bit[perms], d)
+        # every set partition is the cycle partition of some permutation
+        keys = _key(cycles, d)
+        rank = _ranks(keys, d)
+        self.orbit_of_perm = rank[keys]
+        self.blocks = np.empty((self.orbit_of_perm.max() + 1, d), dtype=np.uint8)
+        self.blocks[self.orbit_of_perm] = cycles
+        self.join = np.array([rank[_key(_closure(row | self.blocks, d), d)] for row in self.blocks],
+                             dtype=np.int16)
+        self.full_partition_index = 0
+        self.discrete_partition_index = len(self.blocks) - 1
+        types = [tuple(sorted((bin(m).count("1") for m in set(row.tolist())), reverse=True))
+                 for row in self.blocks]
+        self.classes = {t: np.flatnonzero(np.array([u == t for u in types])[self.orbit_of_perm])
+                        for t in set(types)}
+        self._plans: dict[tuple[tuple[int, ...], bool], list] = {}
 
-    def class_indices(self, mu: Partition) -> np.ndarray:
-        target = mu.parts
-        out = [i for i, p in enumerate(self.perms) if _cycle_type(p) == target]
-        return np.array(out, dtype=np.int32)
+    def lattice(self, track_orbits: bool):
+        """(join, orbit of each permutation, start and end column) of the
+        tracked orbit partitions; one column when orbits are not tracked."""
+        if track_orbits:
+            return (self.join, self.orbit_of_perm,
+                    self.discrete_partition_index, self.full_partition_index)
+        return np.zeros((1, 1), dtype=np.int16), np.zeros(self.order, dtype=np.int16), 0, 0
 
-    # -- set partitions of the sheet set, for transitivity tracking --------
-
-    def _ensure_partitions(self) -> None:
-        if self._partitions is not None:
-            return
-        parts = _set_partitions(self.d)
-        self._partitions = parts
-        index = {p: i for i, p in enumerate(parts)}
-        b = len(parts)
-        join = np.empty((b, b), dtype=np.int32)
-        for i, p in enumerate(parts):
-            for j, q in enumerate(parts):
-                join[i, j] = index[_join_partitions(self.d, p, q)]
-        self._join = join
-        orb = np.empty(self.order, dtype=np.int32)
-        for i, perm in enumerate(self.perms):
-            orb[i] = index[_cycle_partition(perm)]
-        self._orbit_of_perm = orb
-
-    @property
-    def partitions(self):
-        self._ensure_partitions()
-        return self._partitions
-
-    @property
-    def join(self) -> np.ndarray:
-        self._ensure_partitions()
-        return self._join
-
-    @property
-    def orbit_of_perm(self) -> np.ndarray:
-        self._ensure_partitions()
-        return self._orbit_of_perm
-
-    @property
-    def full_partition_index(self) -> int:
-        self._ensure_partitions()
-        return self._partitions.index((tuple(range(self.d)),))
-
-    @property
-    def discrete_partition_index(self) -> int:
-        self._ensure_partitions()
-        return self._partitions.index(tuple((x,) for x in range(self.d)))
+    def plan(self, theta: Partition, track_orbits: bool) -> list:
+        """The steps of one θ-point, one per orbit partition o in θ's class:
+        the column order that sorts join[:, o], the run starts and joined
+        columns of that sort, and the c⁻¹ of the class elements with orbit o."""
+        key = (theta.parts, track_orbits)
+        if key not in self._plans:
+            join, orbit = self.lattice(track_orbits)[:2]
+            cls = self.classes[theta.parts]
+            steps = []
+            for o in sorted(set(orbit[cls].tolist())):
+                order = np.argsort(join[:, o], kind="stable")
+                starts = np.flatnonzero(np.diff(join[order, o], prepend=-1))
+                steps.append((order, starts, join[order[starts], o],
+                              self.inv[cls[orbit[cls] == o]].tolist()))
+            self._plans[key] = steps
+        return self._plans[key]
 
 
-def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(perm)
-    lens = []
-    for x in range(len(perm)):
-        if seen[x]:
-            continue
-        c, y = 0, x
-        while not seen[y]:
-            seen[y] = True
-            y = perm[y]
-            c += 1
-        lens.append(c)
-    return tuple(sorted(lens, reverse=True))
+def _closure(masks: np.ndarray, d: int) -> np.ndarray:
+    """Close bit-mask rows (entry x: sheets x is joined to) under transitivity;
+    each squaring doubles the path length covered, so log2(d)+1 suffice."""
+    for _ in range(d.bit_length()):
+        out = masks.copy()
+        for y in range(d):
+            out |= masks[..., y:y + 1] * ((masks >> y) & 1)
+        masks = out
+    return masks
 
 
-def _cycle_partition(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    seen = [False] * len(perm)
-    blocks = []
-    for x in range(len(perm)):
-        if seen[x]:
-            continue
-        block, y = [], x
-        while not seen[y]:
-            seen[y] = True
-            block.append(y)
-            y = perm[y]
-        blocks.append(tuple(sorted(block)))
-    return tuple(sorted(blocks))
+def _key(masks: np.ndarray, d: int) -> np.ndarray:
+    """Base-d code of each row's block minima: 0 for the full partition."""
+    low = np.array([(m & -m).bit_length() - 1 for m in range(1 << d)])
+    return low[masks] @ (d ** np.arange(d - 1, -1, -1))
 
 
-def _set_partitions(d: int) -> list[tuple[tuple[int, ...], ...]]:
-    if d == 0:
-        return [()]
-    out = []
-
-    def go(x: int, blocks: list[list[int]]):
-        if x == d:
-            out.append(tuple(tuple(b) for b in blocks))
-            return
-        for b in blocks:
-            b.append(x)
-            go(x + 1, blocks)
-            b.pop()
-        blocks.append([x])
-        go(x + 1, blocks)
-        blocks.pop()
-
-    go(0, [])
-    return sorted(out)
+def _ranks(keys: np.ndarray, d: int) -> np.ndarray:
+    """A table from base-d codes below d^d to their rank among the keys."""
+    present = np.zeros(d**d, dtype=bool)
+    present[keys] = True
+    rank = np.zeros(d**d, dtype=np.int16)
+    rank[present] = np.arange(np.count_nonzero(present))
+    return rank
 
 
-def _join_partitions(d, p, q) -> tuple[tuple[int, ...], ...]:
-    parent = list(range(d))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for blocks in (p, q):
-        for block in blocks:
-            r = find(block[0])
-            for x in block[1:]:
-                parent[find(x)] = r
-    groups: dict[int, list[int]] = {}
-    for x in range(d):
-        groups.setdefault(find(x), []).append(x)
-    return tuple(sorted(tuple(b) for b in groups.values()))
-
-
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=None)
 def _group(d: int) -> _Group:
     return _Group(d)
 
@@ -291,7 +245,7 @@ def _check_bf_pre(spec: CoverSpec, budget: int, track_orbits: bool) -> _Group:
     if spec.h > 1:
         raise BudgetError(f"brute force supports h ≤ 1, got {spec.h}")
     g = _group(spec.d)
-    bell = len(_set_partitions(spec.d)) if track_orbits else 1
+    bell = len(g.blocks) if track_orbits else 1
     ops = (g.order**2 if spec.h else 0)
     ops += g.order * bell * sum(
         factorial(spec.d) // p.centralizer_order() for p in spec.profiles
@@ -306,57 +260,49 @@ def _dtype_for(spec: CoverSpec, g: _Group):
     return np.int64 if bound < 2**62 else object
 
 
-def brute_force_disconnected(spec: CoverSpec, budget: int = DEFAULT_BF_BUDGET) -> Fraction:
-    """(1/d!) · #{(α_1,β_1,…,α_h,β_h,σ_1,…,σ_n) with ∏[α,β]·∏σ = identity}."""
-    g = _check_bf_pre(spec, budget, track_orbits=False)
+def _count_tuples(spec: CoverSpec, budget: int, track_orbits: bool) -> Fraction:
+    """(1/d!)·#tuples with product the identity, over a state (product, orbit
+    partition).  A σ-point sends state (r, p) to (r∘σ, join(p, orbit σ));
+    since r ↦ r∘σ is a bijection this is the gather new[s] += dist[s∘σ⁻¹],
+    applied after folding dist's columns p ↦ join(p, orbit σ) once per orbit."""
+    g = _check_bf_pre(spec, budget, track_orbits)
+    join, orbit, start, end = g.lattice(track_orbits)
+    nparts = len(join)
     dtype = _dtype_for(spec, g)
-    dist = np.zeros(g.order, dtype=dtype)
     if spec.h == 0:
-        dist[g.identity] = 1
+        dist = np.zeros((g.order, nparts), dtype=dtype)
+        dist[g.identity, start] = 1
     else:
-        a = np.arange(g.order)
-        x = g.mult[a[:, None], a[None, :]]
-        x = g.mult[x, g.inv[a][:, None]]
-        x = g.mult[x, g.inv[a][None, :]]
-        counts = np.bincount(x.ravel(), minlength=g.order)
-        dist += counts.astype(dtype, copy=False)
+        commutator = g.mult[g.mult[g.mult, g.inv[:, None]], g.inv]  # a·b·a⁻¹·b⁻¹
+        cells = commutator.astype(np.int64) * nparts + join[orbit[:, None], orbit]
+        counts = np.bincount(cells.ravel(), minlength=g.order * nparts)
+        dist = counts.reshape(g.order, nparts).astype(dtype)
     for theta in spec.profiles:
         new = np.zeros_like(dist)
-        for c in g.class_indices(theta):
-            np.add.at(new, g.mult[:, c], dist)
+        for order, starts, cols, cinvs in g.plan(theta, track_orbits):
+            folded = np.empty((g.order, len(cols)), dtype=dtype)
+            for r in range(0, g.order, _FOLD_ROWS):
+                rows = slice(r, r + _FOLD_ROWS)
+                np.add.reduceat(dist[rows, order], starts, axis=1, out=folded[rows])
+            acc = folded[g.mult[:, cinvs[0]]]
+            for ci in cinvs[1:]:
+                acc += folded[g.mult[:, ci]]
+            new[:, cols] += acc
         dist = new
-    return Fraction(int(dist[g.identity]), factorial(spec.d))
+    return Fraction(int(dist[g.identity, end]), factorial(spec.d))
+
+
+def brute_force_disconnected(spec: CoverSpec, budget: int = DEFAULT_BF_BUDGET) -> Fraction:
+    """(1/d!) · #{(α_1,β_1,…,α_h,β_h,σ_1,…,σ_n) with ∏[α,β]·∏σ = identity},
+    counted by gathering the distribution of partial products per σ-point."""
+    return _count_tuples(spec, budget, track_orbits=False)
 
 
 def brute_force_connected(spec: CoverSpec, budget: int = DEFAULT_BF_BUDGET) -> Fraction:
     """As brute_force_disconnected, restricted to tuples whose entries
-    generate a transitive subgroup (the joined orbit partition is tracked
-    through the count)."""
-    g = _check_bf_pre(spec, budget, track_orbits=True)
-    dtype = _dtype_for(spec, g)
-    nparts = len(g.partitions)
-    dist = np.zeros((g.order, nparts), dtype=dtype)
-    if spec.h == 0:
-        dist[g.identity, g.discrete_partition_index] = 1
-    else:
-        a = np.arange(g.order)
-        x = g.mult[a[:, None], a[None, :]]
-        x = g.mult[x, g.inv[a][:, None]]
-        x = g.mult[x, g.inv[a][None, :]]
-        pj = g.join[g.orbit_of_perm[a][:, None], g.orbit_of_perm[a][None, :]]
-        flat = np.bincount(
-            (x.astype(np.int64) * nparts + pj).ravel(), minlength=g.order * nparts
-        )
-        dist += flat.reshape(g.order, nparts).astype(dtype, copy=False)
-    rows = np.arange(g.order)
-    for theta in spec.profiles:
-        new = np.zeros_like(dist)
-        for c in g.class_indices(theta):
-            target_rows = g.mult[:, c]
-            target_cols = g.join[:, g.orbit_of_perm[c]]
-            np.add.at(new, (target_rows[:, None], target_cols[None, :]), dist)
-        dist = new
-    return Fraction(int(dist[g.identity, g.full_partition_index]), factorial(spec.d))
+    generate a transitive subgroup: the joined orbit partition is tracked
+    through the count, folded once per orbit partition of each class."""
+    return _count_tuples(spec, budget, track_orbits=True)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +433,7 @@ class ConnectedComputer:
             total += term
         value, rem = divmod(total, factorial(delta))
         if rem:
-            raise ArithmeticError("tuple count came out non-integral (bug)")
+            raise ExactnessError("tuple count came out non-integral (bug)")
         self._memo_t[key] = value
         return value
 

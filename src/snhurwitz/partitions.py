@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator
 
-from .errors import CeilingError, PartitionParseError
+from .errors import CeilingError, ExactnessError, PartitionParseError
 
 #: Largest degree `partitions_of` will enumerate unless told otherwise.
 DEFAULT_ENUMERATION_CEILING = 30
@@ -210,7 +210,7 @@ def _dimension(parts: tuple[int, ...]) -> int:
             hooks *= row - j + conj[j - 1] - i + 1
     num = factorial(d)
     if num % hooks:
-        raise ArithmeticError("hook product does not divide d! (bug)")
+        raise ExactnessError("hook product does not divide d! (bug)")
     return num // hooks
 
 

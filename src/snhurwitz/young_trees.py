@@ -14,6 +14,7 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Iterable, NamedTuple
 
+from .errors import ExactnessError
 from .partitions import Partition
 
 
@@ -164,7 +165,7 @@ def frobenius_central_character(r: int, lam: Partition) -> int:
         )
         den = 4
     if num % den:
-        raise ArithmeticError(f"closed form not integral for r={r}, lam={lam} (bug)")
+        raise ExactnessError(f"closed form not integral for r={r}, lam={lam} (bug)")
     return num // den
 
 

@@ -9,12 +9,14 @@ from snhurwitz.hurwitz import (
     ConnectedComputer,
     CoverSpec,
     RepeatedSpec,
+    _dtype_for,
+    _group,
     brute_force_connected,
     brute_force_disconnected,
     connected,
     disconnected,
 )
-from snhurwitz.partitions import Partition, partitions_of
+from snhurwitz.partitions import Partition, parse, partitions_of
 
 P = Partition
 
@@ -103,6 +105,78 @@ def test_brute_force_matches_literal_enumeration():
         assert brute_force_connected(spec) == lit_c
         checked += 1
     assert checked > 30
+
+
+def _cycle_masks(p):
+    """Per sheet x, the bit mask of x's cycle under p."""
+    out = []
+    for x in range(len(p)):
+        mask, y = 1 << x, p[x]
+        while y != x:
+            mask |= 1 << y
+            y = p[y]
+        out.append(mask)
+    return out
+
+
+def test_group_tables_match_tuple_composition():
+    bell = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
+    for d in range(1, 6):
+        g = _group(d)
+        perms = list(permutations(range(d)))
+        index = {p: i for i, p in enumerate(perms)}
+        assert g.order == len(perms) and perms[g.identity] == tuple(range(d))
+        for i, p in enumerate(perms):
+            assert g.mult[i].tolist() == [index[tuple(p[q[x]] for x in range(d))] for q in perms]
+            assert g.mult[i, g.inv[i]] == g.mult[g.inv[i], i] == g.identity
+        seen = []
+        for mu in partitions_of(d):
+            members = g.classes[mu.parts].tolist()
+            assert len(members) == factorial(d) // mu.centralizer_order()
+            for i in members:
+                lengths = (bin(m).count("1") for m in set(_cycle_masks(perms[i])))
+                assert tuple(sorted(lengths, reverse=True)) == mu.parts
+            seen += members
+        assert sorted(seen) == list(range(g.order)) and len(g.classes) == len(partitions_of(d))
+        blocks = [tuple(row) for row in g.blocks.tolist()]
+        assert len(set(blocks)) == len(blocks) == bell[d]
+        for i, p in enumerate(perms):
+            assert list(blocks[g.orbit_of_perm[i]]) == _cycle_masks(p)
+        assert set(blocks[g.full_partition_index]) == {(1 << d) - 1}
+        assert list(blocks[g.discrete_partition_index]) == [1 << x for x in range(d)]
+        for a, pa in enumerate(blocks):
+            for b, pb in enumerate(blocks):
+                joined = [pa[x] | pb[x] for x in range(d)]
+                for _ in range(d):
+                    joined = [joined[x] | _or_of(joined, joined[x]) for x in range(d)]
+                assert list(blocks[g.join[a, b]]) == joined
+
+
+def _or_of(masks, sel):
+    out = 0
+    for y, m in enumerate(masks):
+        if sel >> y & 1:
+            out |= m
+    return out
+
+
+def test_brute_force_object_dtype_path(cache):
+    # order^(2h+n) ≥ 2^62 switches both oracles to Python-int object arrays
+    for d, nu, k in [(3, P([2, 1]), 24), (4, P([2, 1, 1]), 14), (5, P([2, 1, 1, 1]), 10)]:
+        spec = RepeatedSpec(CoverSpec(0, d, ()), nu, k=k)
+        cover = spec.cover_spec()
+        assert _dtype_for(cover, _group(d)) is object
+        assert brute_force_connected(cover) == connected(spec, cache)
+        assert brute_force_disconnected(cover) == disconnected(cover, cache)
+
+
+def test_brute_force_connected_degree_six(cache):
+    # the 120 six-cycles share one orbit partition; the 15 transpositions
+    # have the most orbit partitions of any class
+    for nu, mus, k in [("6", (), 2), ("6", ("6",), 1), ("3,3", (), 4),
+                       ("2,2,2", ("4,2",), 2), ("4,1,1", ("2,1^4",), 3)]:
+        spec = RepeatedSpec(CoverSpec(0, 6, tuple(parse(m) for m in mus)), parse(nu), k=k)
+        assert brute_force_connected(spec.cover_spec()) == connected(spec, cache), (nu, mus, k)
 
 
 def test_brute_force_examples():
