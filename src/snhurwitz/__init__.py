@@ -31,9 +31,7 @@ from .hurwitz import (
     brute_force_connected,
 )
 from .structure import (
-    Spectrum,
     BTable,
-    spectrum,
     extract_b_disconnected,
     extract_b_connected,
     verify_theorem,

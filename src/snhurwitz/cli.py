@@ -23,7 +23,6 @@ from pathlib import Path
 from . import characters, hurwitz, structure, verify, young_trees
 from .characters import CharCache
 from .errors import CacheVersionError, SnHurwitzError
-from .parallel import default_jobs
 from .partitions import Partition, parse, partitions_of
 
 ENV_CACHE_DIR = "SNHURWITZ_CACHE_DIR"
@@ -197,14 +196,15 @@ def _cmd_verify(args, cache) -> int:
 
 
 def _cmd_conjecture(args, cache) -> int:
-    jobs = args.jobs or default_jobs()
     if args.which == "1":
-        report = verify.check_conjecture1(args.d, cache, jobs=jobs).to_json()
+        report = verify.check_conjecture1(args.d, cache).to_json()
         failing = {e["mu"] for e in report["violations"] + report["equality_mismatches"]}
         rows = (["clause", "pass", "detail"],
                 [[e.get("clause", ""), e["mu"] not in failing, e["mu"]]
                  for e in report["equality_set"]])
     else:
+        if args.nu is None:
+            raise SnHurwitzError(f"{args.which} needs --nu")
         report = verify.check_conjecture_b(
             args.which, args.d, parse(args.nu), h=args.target_genus,
             mus=_profiles(args.profile), cache=cache, max_degree=args.max_degree)
@@ -253,8 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"character cache directory (env {ENV_CACHE_DIR})")
     parser.add_argument("--no-cache-file", action="store_true",
                         help="keep the character memo in memory only")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="parallelism cap for sweeps (default: all cores)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("chi", help="irreducible character value")

@@ -16,33 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .characters import CharCache, central_character
+from .characters import CharCache
+from .characters import central_character  # noqa: F401  (rebound by bench/workloads.py's tracing)
 from .characters import character_ratio  # noqa: F401  (rebound by bench/workloads.py's tracing)
 from .errors import GenusError, HypothesisError, SizeMismatchError, SupportError
 from .hurwitz import ConnectedComputer, CoverSpec, disconnected, mu_splits, weights
-from .partitions import Partition, partitions_of
+from .partitions import Partition
 
 
 # ---------------------------------------------------------------------------
-# spectrum of signed eigenvalues
+# coefficient tables
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Signed central-character eigenvalues t_λ of one class ν on all λ ⊢ d."""
-
-    d: int
-    nu: Partition
-    entries: tuple[tuple[Partition, int], ...]
-
-    @property
-    def m_max(self) -> int:
-        return max(abs(t) for _, t in self.entries)
-
-    def moduli(self) -> list[int]:
-        """Distinct nonzero |t| in decreasing order."""
-        return sorted({abs(t) for _, t in self.entries if t}, reverse=True)
 
 
 def _check_nu(d: int, nu: Partition) -> None:
@@ -50,17 +34,6 @@ def _check_nu(d: int, nu: Partition) -> None:
         raise SizeMismatchError(f"nu={nu} does not partition d={d}")
     if nu.colength == 0:
         raise ValueError("nu=(1^d) is degenerate: every eigenvalue is 1")
-
-
-def spectrum(d: int, nu: Partition, cache: CharCache | None = None) -> Spectrum:
-    _check_nu(d, nu)
-    entries = tuple((lam, central_character(nu, lam, cache)) for lam in partitions_of(d))
-    return Spectrum(d, nu, entries)
-
-
-# ---------------------------------------------------------------------------
-# coefficient tables
-# ---------------------------------------------------------------------------
 
 
 def _integer_scale(h: int, d: int, mus: tuple[Partition, ...]) -> int:

@@ -15,13 +15,38 @@ shares neither the weights nor the table fold of the library route.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from snhurwitz.characters import CharCache, character_ratio
+from snhurwitz.characters import CharCache, central_character, character_ratio
 from snhurwitz.errors import SupportError
 from snhurwitz.hurwitz import ConnectedComputer
 from snhurwitz.partitions import Partition, dimension, partitions_of
-from snhurwitz.structure import _prefactor, _resolve_parity, _sample_exponents, _TableComputer, spectrum
+from snhurwitz.structure import _check_nu, _prefactor, _resolve_parity, _sample_exponents, _TableComputer
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Signed central-character eigenvalues t_λ of one class ν on all λ ⊢ d."""
+
+    d: int
+    nu: Partition
+    entries: tuple[tuple[Partition, int], ...]
+
+    @property
+    def m_max(self) -> int:
+        return max(abs(t) for _, t in self.entries)
+
+    def moduli(self) -> list[int]:
+        """Distinct nonzero |t| in decreasing order."""
+        return sorted({abs(t) for _, t in self.entries if t}, reverse=True)
+
+
+def spectrum(d: int, nu: Partition, cache: CharCache | None = None) -> Spectrum:
+    _check_nu(d, nu)
+    entries = tuple((lam, central_character(nu, lam, cache)) for lam in partitions_of(d))
+    return Spectrum(d, nu, entries)
+
 
 _CANDIDATE_MEMO: dict[tuple[int, tuple[int, ...]], list[int]] = {}
 

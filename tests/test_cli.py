@@ -96,6 +96,18 @@ def test_usage_errors(run):
     assert code == 2 and "2 ≤ r ≤ d−2" in err
     code, _, err = run("chi", "--lambda", "0,1", "--mu", "1")
     assert code == 2 and "0" in err
+    code, out, err = run("verify", "lemma-l1", "--d", "1")
+    assert code == 2 and not out and "needs d ≥ 2" in err
+    with pytest.raises(SystemExit) as exc:
+        run("--jobs", "2", "conjecture", "1", "--d", "10")
+    assert exc.value.code == 2
+
+
+def test_conjecture_b_needs_nu(run):
+    for which in ("cH4", "cH9", "cH11"):
+        code, out, err = run("conjecture", which, "--d", "10")
+        assert code == 2 and not out, which
+        assert f"{which} needs --nu" in err
 
 
 def test_byte_stable_output(run):
@@ -148,7 +160,7 @@ def test_conjecture1_csv_pass_column(run, monkeypatch):
         return out
 
     monkeypatch.setattr(verify, "_conjecture1_clause", patched)
-    code, out, _ = run("--format", "csv", "--jobs", "1", "conjecture", "1", "--d", "10")
+    code, out, _ = run("--format", "csv", "conjecture", "1", "--d", "10")
     assert code == 1
     header, *rows = csv.reader(out.splitlines())
     assert header == ["clause", "pass", "detail"]

@@ -10,12 +10,11 @@ from snhurwitz.structure import (
     asymptotic_ratio,
     extract_b_connected,
     extract_b_disconnected,
-    spectrum,
     verify_theorem,
 )
 from snhurwitz.young_trees import central_character_from_trees
 
-from oracles import candidate_moduli, solve_b_connected, spectrum_b_disconnected
+from oracles import candidate_moduli, solve_b_connected, spectrum, spectrum_b_disconnected
 
 P = Partition
 
