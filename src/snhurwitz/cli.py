@@ -1,9 +1,11 @@
-"""Command-line front door: computations, verifications, sweeps, cache admin.
+"""Command-line front door: computations, verifications, sweeps, memo warm-up.
 
 One invocation prints a single JSON document (or CSV rows) on stdout with
 the resolved parameters echoed in its header; diagnostics go to stderr.
 Exit codes: 0 success or verification PASS, 1 verification FAIL
-(counterexample found), 2 usage or computation error.
+(counterexample found), 2 usage or computation error.  The character memo
+lives in memory for one invocation; --cache-dir and --no-cache-file are
+accepted and ignored.
 
 CSV column orders (frozen):
   bseries:     m,b
@@ -16,30 +18,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from pathlib import Path
 
 from . import characters, hurwitz, structure, verify, young_trees
 from .characters import CharCache
-from .errors import CacheVersionError, SnHurwitzError
+from .errors import SnHurwitzError
 from .partitions import Partition, parse, partitions_of
-
-ENV_CACHE_DIR = "SNHURWITZ_CACHE_DIR"
-
-
-def _default_cache_dir() -> Path:
-    env = os.environ.get(ENV_CACHE_DIR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "snhurwitz"
-
-
-def _open_cache(args) -> CharCache:
-    if args.no_cache_file:
-        return CharCache()
-    directory = Path(args.cache_dir)
-    return CharCache(directory / "chi-cache.tsv")
 
 
 def _emit(args, payload: dict, csv_rows: tuple[list[str], list[list]] | None = None) -> None:
@@ -207,7 +191,7 @@ def _cmd_conjecture(args, cache) -> int:
             raise SnHurwitzError(f"{args.which} needs --nu")
         report = verify.check_conjecture_b(
             args.which, args.d, parse(args.nu), h=args.target_genus,
-            mus=_profiles(args.profile), cache=cache, max_degree=args.max_degree)
+            mus=_profiles(args.profile), cache=cache)
         rows = (["clause", "pass", "detail"],
                 [[c["id"], c["pass"], c.get("m", c.get("interval", ""))]
                  for c in report["clauses"]])
@@ -218,20 +202,11 @@ def _cmd_conjecture(args, cache) -> int:
 
 
 def _cmd_cache(args, cache) -> int:
-    if args.action == "stats":
-        _emit(args, {"command": "cache", "action": "stats", **cache.stats()})
-    elif args.action == "warm":
-        if args.d is None:
-            raise SnHurwitzError("cache warm needs --d")
-        for d in range(1, args.d + 1):
-            for lam in partitions_of(d):
-                for mu in partitions_of(d):
-                    characters.chi(lam, mu, cache)
-        cache.flush()
-        _emit(args, {"command": "cache", "action": "warm", "d": args.d, **cache.stats()})
-    else:
-        cache.clear()
-        _emit(args, {"command": "cache", "action": "clear", **cache.stats()})
+    for d in range(1, args.d + 1):
+        for lam in partitions_of(d):
+            for mu in partitions_of(d):
+                characters.chi(lam, mu, cache)
+    _emit(args, {"command": "cache", "action": "warm", "d": args.d, **cache.stats()})
     return 0
 
 
@@ -249,10 +224,10 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    parser.add_argument("--cache-dir", default=str(_default_cache_dir()),
-                        help=f"character cache directory (env {ENV_CACHE_DIR})")
+    parser.add_argument("--cache-dir",
+                        help="ignored: the character memo is kept in memory only")
     parser.add_argument("--no-cache-file", action="store_true",
-                        help="keep the character memo in memory only")
+                        help="ignored: the character memo is kept in memory only")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("chi", help="irreducible character value")
@@ -309,12 +284,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu")
     p.add_argument("--target-genus", type=int, default=0)
     p.add_argument("--profile", action="append")
-    p.add_argument("--max-degree", type=int, default=10)
     p.set_defaults(fn=_cmd_conjecture)
 
-    p = sub.add_parser("cache", help="character cache administration")
-    p.add_argument("action", choices=("stats", "warm", "clear"))
-    p.add_argument("--d", type=int)
+    p = sub.add_parser("cache", help="fill the in-memory character memo up to degree d")
+    p.add_argument("action", choices=("warm",))
+    p.add_argument("--d", type=int, required=True)
     p.set_defaults(fn=_cmd_cache)
 
     return parser
@@ -324,20 +298,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cache = _open_cache(args)
-    except (OSError, CacheVersionError) as exc:
-        print(f"error: cannot open cache: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.fn(args, cache)
-    except SnHurwitzError as exc:
+        return args.fn(args, CharCache())
+    except (SnHurwitzError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        cache.close()
 
 
 if __name__ == "__main__":

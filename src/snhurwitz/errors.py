@@ -36,7 +36,3 @@ class HypothesisError(SnHurwitzError, ValueError):
 class SupportError(SnHurwitzError, ArithmeticError):
     """A structure-coefficient table disagrees with the count it expands, or
     its moment system is singular."""
-
-
-class CacheVersionError(SnHurwitzError, ValueError):
-    """A character cache file declares a format version this package cannot read."""

@@ -216,6 +216,8 @@ def _extract(kind: str, h: int, d: int, mus: tuple[Partition, ...], nu: Partitio
     then checked at held-out exponents of its parity against the count it
     expands.
     """
+    if h < 0:
+        raise GenusError("target genus must be nonnegative")
     par, vacuous = _resolve_parity(nu, mus, parity)
     _check_nu(d, nu)
     mus = tuple(mus)

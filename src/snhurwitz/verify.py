@@ -273,7 +273,6 @@ def check_conjecture_b(
     h: int = 0,
     mus: tuple[Partition, ...] = (),
     cache: CharCache | None = None,
-    max_degree: int = 10,
 ) -> dict:
     """Check one of the coefficient-gap conjectures on the connected table.
 
@@ -286,8 +285,6 @@ def check_conjecture_b(
         raise HypothesisError(f"unknown conjecture {conj!r}")
     if d < 10:
         raise HypothesisError(f"{conj} needs d ≥ 10, got {d}")
-    if d > max_degree:
-        raise HypothesisError(f"d={d} above the configured cap {max_degree}")
     if nu.size != d:
         raise HypothesisError(f"nu={nu} does not partition d={d}")
     mus = tuple(mus)

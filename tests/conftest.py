@@ -4,8 +4,5 @@ from snhurwitz.characters import CharCache
 
 
 @pytest.fixture(scope="session")
-def cache(tmp_path_factory):
-    path = tmp_path_factory.mktemp("chars") / "chi-cache.tsv"
-    c = CharCache(path)
-    yield c
-    c.close()
+def cache():
+    return CharCache()

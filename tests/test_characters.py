@@ -11,7 +11,7 @@ from snhurwitz.characters import (
     chi,
     one_cycle_central_character,
 )
-from snhurwitz.errors import CacheVersionError, SizeMismatchError
+from snhurwitz.errors import SizeMismatchError
 from snhurwitz.partitions import Partition, dimension, partitions_of
 
 
@@ -98,13 +98,32 @@ def test_conjugation_sign_rule(cache):
                 assert chi(lam, mu, cache) == (-1) ** mu.colength * chi(conj, mu, cache)
 
 
-def test_column_orthogonality(cache):
-    for d in range(1, 8):
+def _beta_partition(mask):
+    """The partition whose beta-set is the set bits of mask, zero parts dropped."""
+    beta = [b for b in reversed(range(mask.bit_length())) if mask >> b & 1]
+    return tuple(b - (len(beta) - 1 - i) for i, b in enumerate(beta) if b > len(beta) - 1 - i)
+
+
+def test_column_orthogonality():
+    # columns: Σ_λ χ_λ(μ)χ_λ(ν) = z_μ[μ = ν]; rows: Σ_μ (d!/z_μ)χ_λ(μ)χ_ρ(μ) = d![λ = ρ]
+    memo = CharCache()
+    for d in range(1, 13):
         classes = partitions_of(d)
+        table = [[chi(lam, mu, memo) for mu in classes] for lam in classes]
+        # the trivial row pins each column's sign, which orthogonality leaves free
+        assert table[classes.index(Partition([d]))] == [1] * len(classes)
         for i, mu in enumerate(classes):
-            for nu in classes[i:]:
-                s = sum(chi(lam, mu, cache) * chi(lam, nu, cache) for lam in classes)
-                assert s == (mu.centralizer_order() if mu == nu else 0)
+            for j in range(i, len(classes)):
+                s = sum(row[i] * row[j] for row in table)
+                assert s == (mu.centralizer_order() if i == j else 0), (mu, classes[j])
+        sizes = [factorial(d) // mu.centralizer_order() for mu in classes]
+        for a, lam in enumerate(classes):
+            for b in range(a, len(classes)):
+                s = sum(n * x * y for n, x, y in zip(sizes, table[a], table[b]))
+                assert s == (factorial(d) if a == b else 0), (lam, classes[b])
+    # one memo state per (λ, μ-suffix): no λ is stored under two beta-set masks
+    states = {(_beta_partition(mask), mu) for mask, mu in memo._values}
+    assert len(states) == len(memo._values) == memo.stats()["entries"]
 
 
 def test_central_character_examples(cache):
@@ -145,89 +164,3 @@ def test_character_ratio_examples(cache):
         ratio = character_ratio(Partition([d - 1, 1]), mu, cache)
         assert abs(ratio) == Fraction(d - r - 1, d - 1)
     assert character_ratio(Partition([2, 2]), Partition([2, 1, 1]), cache) == 0
-
-
-# -- persistent cache behaviour ---------------------------------------------
-
-
-def test_cache_roundtrip(tmp_path):
-    path = tmp_path / "chi.tsv"
-    with CharCache(path) as c1:
-        v = chi(Partition([4, 2, 1]), Partition([3, 2, 2]), c1)
-    with CharCache(path) as c2:
-        assert c2.lookup((4, 2, 1), (3, 2, 2)) == v
-        assert c2.stats()["entries"] >= 1
-
-
-def test_cache_hit_equals_recomputation(tmp_path):
-    path = tmp_path / "chi.tsv"
-    with CharCache(path) as c1:
-        for lam in partitions_of(6):
-            for mu in partitions_of(6):
-                chi(lam, mu, c1)
-    fresh = CharCache()
-    with CharCache(path) as c2:
-        for lam in partitions_of(6):
-            for mu in partitions_of(6):
-                assert c2.lookup(lam.parts, mu.parts) == chi(lam, mu, fresh)
-
-
-def test_cache_truncates_corrupt_trailing_record(tmp_path):
-    path = tmp_path / "chi.tsv"
-    with CharCache(path) as c1:
-        chi(Partition([3, 1]), Partition([2, 2]), c1)
-    with open(path, "a") as fh:
-        fh.write("9\t5,4\t3,3,3")  # truncated mid-record, no newline
-    with CharCache(path) as c2:
-        entries = c2.stats()["entries"]
-        assert entries >= 1
-    # the corrupt tail is gone; reopening again parses cleanly
-    with CharCache(path) as c3:
-        assert c3.stats()["entries"] == entries
-        chi(Partition([5, 4]), Partition([3, 3, 3]), c3)
-
-
-def test_cache_skips_malformed_middle_line(tmp_path):
-    path = tmp_path / "chi.tsv"
-    with CharCache(path) as c1:
-        for d in range(1, 9):
-            for lam in partitions_of(d):
-                for mu in partitions_of(d):
-                    chi(lam, mu, c1)
-    header, *records = path.read_text().splitlines(keepends=True)
-    bad = len(records) // 2
-    path.write_text(header + "".join(records[:bad]) + "garbage\n" + "".join(records[bad + 1:]))
-    with CharCache(path) as c2:
-        assert c2.stats()["entries"] == len(records) - 1 and c2.skipped == 1
-        lost = tuple(tuple(map(int, f.split(","))) for f in records[bad].split("\t")[1:3])
-        assert c2.lookup(*lost) is None
-    # rewritten with the header and every good record, then loaded as is
-    rewritten = path.read_text()
-    assert rewritten.splitlines(keepends=True) == [header] + records[:bad] + records[bad + 1:]
-    fresh = CharCache()
-    with CharCache(path) as c3:
-        assert c3.stats()["entries"] == len(records) - 1 and c3.skipped == 0
-        for lam in partitions_of(8):
-            for mu in partitions_of(8):
-                if (lam.parts, mu.parts) != lost:
-                    assert c3.lookup(lam.parts, mu.parts) == chi(lam, mu, fresh)
-    assert path.read_text() == rewritten
-
-
-def test_cache_rejects_unknown_version(tmp_path):
-    path = tmp_path / "chi.tsv"
-    text = "# snhurwitz chi cache v99 max_degree=30\n2\t2\t2\t1\n"
-    path.write_text(text)
-    with pytest.raises(CacheVersionError, match="v99"):
-        CharCache(path)
-    assert path.read_text() == text
-
-
-def test_cache_clear(tmp_path):
-    path = tmp_path / "chi.tsv"
-    with CharCache(path) as c:
-        chi(Partition([3, 1]), Partition([2, 2]), c)
-        c.clear()
-        assert c.stats()["entries"] == 0
-    with CharCache(path) as c2:
-        assert c2.stats()["entries"] == 0

@@ -101,6 +101,14 @@ def test_usage_errors(run):
     with pytest.raises(SystemExit) as exc:
         run("--jobs", "2", "conjecture", "1", "--d", "10")
     assert exc.value.code == 2
+    for argv in (("bseries", "--kind", "connected", "--d", "7", "--nu", "2,1^5"),
+                 ("verify", "T1", "--d", "7", "--r", "2"),
+                 ("conjecture", "cH9", "--d", "10", "--nu", "4,3,3")):
+        code, out, err = run(*argv, "--target-genus", "-1")
+        assert code == 2 and not out and "target genus must be nonnegative" in err, argv
+    with pytest.raises(SystemExit) as exc:
+        run("conjecture", "cH9", "--d", "11", "--nu", "4,4,3", "--max-degree", "11")
+    assert exc.value.code == 2
 
 
 def test_conjecture_b_needs_nu(run):
@@ -120,20 +128,15 @@ def test_byte_stable_output(run):
 
 def test_cache_subcommands(run, tmp_path):
     code, out, _ = run("cache", "warm", "--d", "4")
-    assert code == 0 and json.loads(out)["entries"] > 0
-    code, out, _ = run("cache", "stats")
     doc = json.loads(out)
-    assert doc["entries"] > 0
-    code, out, _ = run("cache", "clear")
-    assert json.loads(out)["entries"] == 0
-
-
-def test_unknown_cache_version_exits_2(run, tmp_path):
-    (tmp_path / "cache").mkdir()
-    (tmp_path / "cache" / "chi-cache.tsv").write_text("# snhurwitz chi cache v99 max_degree=30\n")
-    code, out, err = run("cache", "stats")
-    assert code == 2 and not out
-    assert err.startswith("error: cannot open cache: ") and "v99" in err
+    assert code == 0 and doc["path"] is None
+    assert doc["by_degree"] == {"1": 1, "2": 4, "3": 9, "4": 25} and doc["entries"] == 39
+    code, out, _ = run("verify", "theorem-B", "--d", "10")
+    assert code == 0 and not (tmp_path / "cache").exists()
+    for action in ("stats", "clear"):
+        with pytest.raises(SystemExit) as exc:
+            run("cache", action)
+        assert exc.value.code == 2
 
 
 def test_pretty_format(run):
@@ -147,6 +150,9 @@ def test_conjecture_cli(run):
         code, out, _ = run("conjecture", "cH9", "--d", "10", "--nu", nu, *extra)
         assert code == 0
         assert json.loads(out)["pass"] is True
+    # no degree cap above the hypothesis d ≥ 10
+    code, out, _ = run("conjecture", "cH9", "--d", "11", "--nu", "4,4,3")
+    assert code == 0 and json.loads(out)["params"]["d"] == 11
 
 
 def test_conjecture1_csv_pass_column(run, monkeypatch):
