@@ -107,6 +107,8 @@ def _cmd_hurwitz(args, cache) -> int:
               "profiles": [str(p) for p in mus]}
     if args.kind == "connected" and args.nu is None:
         raise SnHurwitzError("connected needs --nu with --k or --g")
+    if args.nu is None and (args.k is not None or args.g is not None):
+        raise SnHurwitzError("--k and --g need --nu")
     cover = hurwitz.CoverSpec(h, d, mus)
     g = k = None
     if args.nu is not None:

@@ -4,11 +4,13 @@ Disconnected counts come from the character (Burnside) sum; connected
 counts from the degree-convolution recursion that peels off the component
 containing sheet 1, with repeated branch points aggregated by the multiset
 of per-point sub-profiles.  Independent permutation-level oracles count
-monodromy tuples directly, using no characters: a distribution over
-(partial product, joined orbit partition) advances one branch point at a
-time by row gathers through numpy multiplication tables, after its orbit
-columns are folded onto their joins once per orbit partition of the point's
-class; the transitive count is the mass on the full partition.
+monodromy tuples directly, using no characters, in plain Python integers:
+a state (partial product r, orbit partition p coarser than r's cycles)
+collapses to its conjugation orbit, the sorted cycle types of r on the
+blocks of p, because every class is closed under conjugation.  A
+distribution over orbits advances one branch point at a time along
+transitions counted once per (orbit, class) from one representative; the
+transitive count is the mass on the identity over the full partition.
 """
 
 from __future__ import annotations
@@ -19,18 +21,13 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
 
-import numpy as np
-
 from .characters import CharCache, central_character
 from .errors import BudgetError, ExactnessError, GenusError, SizeMismatchError
 from .partitions import Partition, dimension, partitions_of, splits
 
-#: elementary-operation budget for the permutation-level oracles
-DEFAULT_BF_BUDGET = 300_000_000
-_BF_MAX_DEGREE = 6
-#: rows per sorted copy in the orbit fold: all of S(5), and at d = 6 a copy
-#: of a sixth of the state in place of a whole one
-_FOLD_ROWS = 120
+#: transitions the permutation-level oracles may count for one spec
+DEFAULT_BF_BUDGET = 4_000_000
+_BF_MAX_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -139,169 +136,143 @@ def disconnected(spec: CoverSpec, cache: CharCache | None = None) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-class _Group:
-    """numpy tables for one S(d), built once per degree.
-
-    Permutations are indexed in lexicographic order (the identity is 0);
-    `mult[i, j]` indexes p_i∘p_j and `inv[i]` indexes p_i⁻¹.  A set partition
-    of the d sheets is a row of `blocks`, whose entry x is the bit mask of
-    x's block; partitions are ordered by their block minima, so the full
-    partition comes first and the discrete one last.  `join[a, b]` indexes
-    the finest partition coarser than both, `orbit_of_perm[i]` the cycle
-    partition of p_i, and `classes` maps a cycle type to the sorted indices
-    of its conjugacy class.
-    """
-
-    def __init__(self, d: int):
-        self.d = d
-        perms = np.array(list(permutations(range(d))))
-        digits = d ** np.arange(d - 1, -1, -1)
-        rank = _ranks(perms @ digits, d)
-        self.order = n = len(perms)
-        self.identity = 0
-        # indices below 6! = 720 fit int16, which halves the d = 6 tables
-        self.mult = np.empty((n, n), dtype=np.int16)
-        for i, p in enumerate(perms):
-            self.mult[i] = rank[p[perms] @ digits]
-        self.inv = self.mult.argmin(axis=1).astype(np.int16)  # p_i∘p_j = identity = 0
-        bit = (1 << np.arange(d)).astype(np.uint8)
-        cycles = _closure(bit | bit[perms], d)
-        # every set partition is the cycle partition of some permutation
-        keys = _key(cycles, d)
-        rank = _ranks(keys, d)
-        self.orbit_of_perm = rank[keys]
-        self.blocks = np.empty((self.orbit_of_perm.max() + 1, d), dtype=np.uint8)
-        self.blocks[self.orbit_of_perm] = cycles
-        self.join = np.array([rank[_key(_closure(row | self.blocks, d), d)] for row in self.blocks],
-                             dtype=np.int16)
-        self.full_partition_index = 0
-        self.discrete_partition_index = len(self.blocks) - 1
-        types = [tuple(sorted((bin(m).count("1") for m in set(row.tolist())), reverse=True))
-                 for row in self.blocks]
-        self.classes = {t: np.flatnonzero(np.array([u == t for u in types])[self.orbit_of_perm])
-                        for t in set(types)}
-        self._plans: dict[tuple[tuple[int, ...], bool], list] = {}
-
-    def lattice(self, track_orbits: bool):
-        """(join, orbit of each permutation, start and end column) of the
-        tracked orbit partitions; one column when orbits are not tracked."""
-        if track_orbits:
-            return (self.join, self.orbit_of_perm,
-                    self.discrete_partition_index, self.full_partition_index)
-        return np.zeros((1, 1), dtype=np.int16), np.zeros(self.order, dtype=np.int16), 0, 0
-
-    def plan(self, theta: Partition, track_orbits: bool) -> list:
-        """The steps of one θ-point, one per orbit partition o in θ's class:
-        the column order that sorts join[:, o], the run starts and joined
-        columns of that sort, and the c⁻¹ of the class elements with orbit o."""
-        key = (theta.parts, track_orbits)
-        if key not in self._plans:
-            join, orbit = self.lattice(track_orbits)[:2]
-            cls = self.classes[theta.parts]
-            steps = []
-            for o in sorted(set(orbit[cls].tolist())):
-                order = np.argsort(join[:, o], kind="stable")
-                starts = np.flatnonzero(np.diff(join[order, o], prepend=-1))
-                steps.append((order, starts, join[order[starts], o],
-                              self.inv[cls[orbit[cls] == o]].tolist()))
-            self._plans[key] = steps
-        return self._plans[key]
+@lru_cache(maxsize=None)
+def _classes(d: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """The conjugacy classes of S(d) by cycle type; σ is the tuple x ↦ σ(x)."""
+    out: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    full = (0,) * d
+    for s in permutations(range(d)):
+        out.setdefault(_orbit_key(s, full)[0], []).append(s)
+    return out
 
 
-def _closure(masks: np.ndarray, d: int) -> np.ndarray:
-    """Close bit-mask rows (entry x: sheets x is joined to) under transitivity;
-    each squaring doubles the path length covered, so log2(d)+1 suffice."""
-    for _ in range(d.bit_length()):
-        out = masks.copy()
-        for y in range(d):
-            out |= masks[..., y:y + 1] * ((masks >> y) & 1)
-        masks = out
-    return masks
+def _join(blocks, s) -> list:
+    """The finest partition coarser than both a partition of the sheets
+    (blocks[x] names x's block) and the cycles of s, in the same form."""
+    out = list(blocks)
+    for x, y in enumerate(s):
+        a, b = out[x], out[y]
+        if a != b:
+            out = [a if v == b else v for v in out]
+    return out
 
 
-def _key(masks: np.ndarray, d: int) -> np.ndarray:
-    """Base-d code of each row's block minima: 0 for the full partition."""
-    low = np.array([(m & -m).bit_length() - 1 for m in range(1 << d)])
-    return low[masks] @ (d ** np.arange(d - 1, -1, -1))
+def _orbit_key(r, blocks) -> tuple[tuple[int, ...], ...]:
+    """The conjugation orbit of the state (r, p), p coarser than r's cycles:
+    the sorted cycle types of r on the blocks of p."""
+    types: dict = {}
+    seen = 0
+    for x in range(len(r)):
+        if not seen >> x & 1:
+            n, y = 0, x
+            while not seen >> y & 1:
+                seen |= 1 << y
+                y = r[y]
+                n += 1
+            types.setdefault(blocks[x], []).append(n)
+    return tuple(sorted(tuple(sorted(t, reverse=True)) for t in types.values()))
 
 
-def _ranks(keys: np.ndarray, d: int) -> np.ndarray:
-    """A table from base-d codes below d^d to their rank among the keys."""
-    present = np.zeros(d**d, dtype=bool)
-    present[keys] = True
-    rank = np.zeros(d**d, dtype=np.int16)
-    rank[present] = np.arange(np.count_nonzero(present))
-    return rank
+def _representative(key: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[int]]:
+    """A state (r, blocks) of the orbit: its blocks, and the cycles within
+    each block, on consecutive sheets."""
+    r: list[int] = []
+    blocks: list[int] = []
+    for cycle_type in key:
+        blocks += [len(r)] * sum(cycle_type)
+        for n in cycle_type:
+            base = len(r)
+            r += [base + (i + 1) % n for i in range(n)]
+    return r, blocks
 
 
 @lru_cache(maxsize=None)
-def _group(d: int) -> _Group:
-    return _Group(d)
+def _transitions(key: tuple, theta: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
+    """(orbit, count) over σ in class θ of the state (r∘σ, join(p, cycles σ)),
+    from one representative (r, p) of the orbit; by conjugation invariance
+    every state of the orbit has the same counts."""
+    r, blocks = _representative(key)
+    out: dict = {}
+    for s in _classes(len(r))[theta]:
+        new = _orbit_key([r[y] for y in s], _join(blocks, s))
+        out[new] = out.get(new, 0) + 1
+    return tuple(out.items())
 
 
-def _check_bf_pre(spec: CoverSpec, budget: int, track_orbits: bool) -> _Group:
-    if spec.d > _BF_MAX_DEGREE:
-        raise BudgetError(f"brute force supports d ≤ {_BF_MAX_DEGREE}, got {spec.d}")
-    if spec.h > 1:
-        raise BudgetError(f"brute force supports h ≤ 1, got {spec.h}")
-    g = _group(spec.d)
-    bell = len(g.blocks) if track_orbits else 1
-    ops = (g.order**2 if spec.h else 0)
-    ops += g.order * bell * sum(
-        factorial(spec.d) // p.centralizer_order() for p in spec.profiles
-    )
-    if ops > budget:
-        raise BudgetError(f"estimated {ops} operations exceed the budget {budget}")
-    return g
+@lru_cache(maxsize=None)
+def _start(d: int, h: int, track_orbits: bool) -> tuple[tuple[tuple, int], ...]:
+    """(orbit, count) before the first point: the identity for h = 0, else
+    every ([a,b], orbits of ⟨a,b⟩), a over class representatives weighted by
+    class size and b over S(d).  Untracked, the partition is the full one."""
+    blocks = list(range(d)) if track_orbits else [0] * d
+    if h == 0:
+        return ((_orbit_key(range(d), blocks), 1),)
+    out: dict = {}
+    for cls in _classes(d).values():
+        a = cls[0]
+        a_inv = [0] * d
+        for x, y in enumerate(a):
+            a_inv[y] = x
+        a_blocks = _join(blocks, a)
+        c = [0] * d
+        for b in permutations(range(d)):
+            for x in range(d):
+                c[b[x]] = a[b[a_inv[x]]]  # c = a∘b∘a⁻¹∘b⁻¹
+            key = _orbit_key(c, _join(a_blocks, b))
+            out[key] = out.get(key, 0) + len(cls)
+    return tuple(out.items())
 
 
-def _dtype_for(spec: CoverSpec, g: _Group):
-    bound = g.order ** (2 * spec.h + len(spec.profiles))
-    return np.int64 if bound < 2**62 else object
+def _orbit_count(d: int, track_orbits: bool) -> int:
+    """Orbits of states: multisets of (block, cycle type on it) filling d
+    sheets; untracked, the cycle types of S(d)."""
+    ways = [1] + [0] * d
+    for n in range(1, d + 1) if track_orbits else (d,):
+        for _ in partitions_of(n):
+            for total in range(n, d + 1):
+                ways[total] += ways[total - n]
+    return ways[d]
 
 
 def _count_tuples(spec: CoverSpec, budget: int, track_orbits: bool) -> Fraction:
-    """(1/d!)·#tuples with product the identity, over a state (product, orbit
-    partition).  A σ-point sends state (r, p) to (r∘σ, join(p, orbit σ));
-    since r ↦ r∘σ is a bijection this is the gather new[s] += dist[s∘σ⁻¹],
-    applied after folding dist's columns p ↦ join(p, orbit σ) once per orbit."""
-    g = _check_bf_pre(spec, budget, track_orbits)
-    join, orbit, start, end = g.lattice(track_orbits)
-    nparts = len(join)
-    dtype = _dtype_for(spec, g)
-    if spec.h == 0:
-        dist = np.zeros((g.order, nparts), dtype=dtype)
-        dist[g.identity, start] = 1
-    else:
-        commutator = g.mult[g.mult[g.mult, g.inv[:, None]], g.inv]  # a·b·a⁻¹·b⁻¹
-        cells = commutator.astype(np.int64) * nparts + join[orbit[:, None], orbit]
-        counts = np.bincount(cells.ravel(), minlength=g.order * nparts)
-        dist = counts.reshape(g.order, nparts).astype(dtype)
+    """(1/d!)·#tuples with product the identity, over a distribution on the
+    conjugation orbits of states (partial product, orbit partition): a
+    θ-point moves the mass of each orbit along its transitions by θ."""
+    d = spec.d
+    if d > _BF_MAX_DEGREE:
+        raise BudgetError(f"brute force supports d ≤ {_BF_MAX_DEGREE}, got {d}")
+    if spec.h > 1:
+        raise BudgetError(f"brute force supports h ≤ 1, got {spec.h}")
+    # each class's transitions are counted once per orbit; each point then
+    # moves every orbit's mass to at most min(|class|, orbits) targets
+    orbits = _orbit_count(d, track_orbits)
+    sizes = {p.parts: factorial(d) // p.centralizer_order() for p in spec.profiles}
+    ops = orbits * (sum(sizes.values()) + sum(min(sizes[p.parts], orbits) for p in spec.profiles))
+    if spec.h:
+        ops += len(partitions_of(d)) * factorial(d)
+    if ops > budget:
+        raise BudgetError(f"estimated {ops} transitions exceed the budget {budget}")
+    dist = dict(_start(d, spec.h, track_orbits))
     for theta in spec.profiles:
-        new = np.zeros_like(dist)
-        for order, starts, cols, cinvs in g.plan(theta, track_orbits):
-            folded = np.empty((g.order, len(cols)), dtype=dtype)
-            for r in range(0, g.order, _FOLD_ROWS):
-                rows = slice(r, r + _FOLD_ROWS)
-                np.add.reduceat(dist[rows, order], starts, axis=1, out=folded[rows])
-            acc = folded[g.mult[:, cinvs[0]]]
-            for ci in cinvs[1:]:
-                acc += folded[g.mult[:, ci]]
-            new[:, cols] += acc
+        new: dict = {}
+        for key, n in dist.items():
+            for target, m in _transitions(key, theta.parts):
+                new[target] = new.get(target, 0) + n * m
         dist = new
-    return Fraction(int(dist[g.identity, end]), factorial(spec.d))
+    return Fraction(dist.get(((1,) * d,), 0), factorial(d))
 
 
 def brute_force_disconnected(spec: CoverSpec, budget: int = DEFAULT_BF_BUDGET) -> Fraction:
     """(1/d!) · #{(α_1,β_1,…,α_h,β_h,σ_1,…,σ_n) with ∏[α,β]·∏σ = identity},
-    counted by gathering the distribution of partial products per σ-point."""
+    counted by advancing the distribution of partial products' cycle types
+    one σ-point at a time; d ≤ 8 and h ≤ 1."""
     return _count_tuples(spec, budget, track_orbits=False)
 
 
 def brute_force_connected(spec: CoverSpec, budget: int = DEFAULT_BF_BUDGET) -> Fraction:
     """As brute_force_disconnected, restricted to tuples whose entries
     generate a transitive subgroup: the joined orbit partition is tracked
-    through the count, folded once per orbit partition of each class."""
+    through the count, and the state is the conjugation orbit of both."""
     return _count_tuples(spec, budget, track_orbits=True)
 
 

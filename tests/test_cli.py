@@ -109,6 +109,9 @@ def test_usage_errors(run):
     with pytest.raises(SystemExit) as exc:
         run("conjecture", "cH9", "--d", "11", "--nu", "4,4,3", "--max-degree", "11")
     assert exc.value.code == 2
+    for argv in (("--d", "3", "--k", "2"), ("--d", "3", "--g", "5", "--profile", "2,1")):
+        code, out, err = run("hurwitz", "--kind", "disconnected", *argv)
+        assert code == 2 and not out and "--k and --g need --nu" in err, argv
 
 
 def test_conjecture_b_needs_nu(run):

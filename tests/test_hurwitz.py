@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial
@@ -9,8 +11,11 @@ from snhurwitz.hurwitz import (
     ConnectedComputer,
     CoverSpec,
     RepeatedSpec,
-    _dtype_for,
-    _group,
+    _classes,
+    _join,
+    _orbit_count,
+    _orbit_key,
+    _representative,
     brute_force_connected,
     brute_force_disconnected,
     connected,
@@ -94,15 +99,19 @@ def test_brute_force_matches_literal_enumeration():
                     assert brute_force_disconnected(spec) == lit_d
                     assert brute_force_connected(spec) == lit_c
                     checked += 1
-    for combo in [
-        (P([2, 1, 1]),) * 3,
-        (P([4]), P([4])),
-        (P([3, 1]), P([2, 2]), P([4])),
+    for h, combo, want_c in [
+        (0, (P([2, 1, 1]),) * 3, None),
+        (0, (P([4]), P([4])), None),
+        (0, (P([3, 1]), P([2, 2]), P([4])), None),
+        (0, (P([3, 1, 1]),) * 2 + (P([2, 2, 1]),) * 2, 9),
+        (1, (P([2, 2, 1]),), 24),
+        (1, (P([3, 1, 1]),), 27),
     ]:
-        spec = CoverSpec(0, 4, combo)
-        lit_d, lit_c = _literal_counts(0, 4, combo)
+        spec = CoverSpec(h, combo[0].size, combo)
+        lit_d, lit_c = _literal_counts(h, spec.d, combo)
         assert brute_force_disconnected(spec) == lit_d
         assert brute_force_connected(spec) == lit_c
+        assert want_c is None or lit_c == want_c
         checked += 1
     assert checked > 30
 
@@ -119,37 +128,50 @@ def _cycle_masks(p):
     return out
 
 
+def _masks_of(blocks):
+    """Per sheet x, the bit mask of the sheets sharing x's block name."""
+    return [sum(1 << y for y, b in enumerate(blocks) if b == a) for a in blocks]
+
+
 def test_group_tables_match_tuple_composition():
-    bell = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
     for d in range(1, 6):
-        g = _group(d)
         perms = list(permutations(range(d)))
-        index = {p: i for i, p in enumerate(perms)}
-        assert g.order == len(perms) and perms[g.identity] == tuple(range(d))
-        for i, p in enumerate(perms):
-            assert g.mult[i].tolist() == [index[tuple(p[q[x]] for x in range(d))] for q in perms]
-            assert g.mult[i, g.inv[i]] == g.mult[g.inv[i], i] == g.identity
+        classes = _classes(d)
         seen = []
         for mu in partitions_of(d):
-            members = g.classes[mu.parts].tolist()
+            members = classes[mu.parts]
             assert len(members) == factorial(d) // mu.centralizer_order()
-            for i in members:
-                lengths = (bin(m).count("1") for m in set(_cycle_masks(perms[i])))
+            for p in members:
+                lengths = (bin(m).count("1") for m in set(_cycle_masks(p)))
                 assert tuple(sorted(lengths, reverse=True)) == mu.parts
             seen += members
-        assert sorted(seen) == list(range(g.order)) and len(g.classes) == len(partitions_of(d))
-        blocks = [tuple(row) for row in g.blocks.tolist()]
-        assert len(set(blocks)) == len(blocks) == bell[d]
-        for i, p in enumerate(perms):
-            assert list(blocks[g.orbit_of_perm[i]]) == _cycle_masks(p)
-        assert set(blocks[g.full_partition_index]) == {(1 << d) - 1}
-        assert list(blocks[g.discrete_partition_index]) == [1 << x for x in range(d)]
-        for a, pa in enumerate(blocks):
-            for b, pb in enumerate(blocks):
+        assert sorted(seen) == perms and len(classes) == len(partitions_of(d))
+        # every set partition is the cycle partition of some permutation
+        partitions = {tuple(_cycle_masks(p)): p for p in perms}
+        for pa in partitions:
+            for pb, q in partitions.items():
                 joined = [pa[x] | pb[x] for x in range(d)]
                 for _ in range(d):
                     joined = [joined[x] | _or_of(joined, joined[x]) for x in range(d)]
-                assert list(blocks[g.join[a, b]]) == joined
+                assert _masks_of(_join(pa, q)) == joined
+        # conjugating a state (r, p) by either generator of S(d) keeps its key
+        gens = [(1, 0) + tuple(range(2, d)), tuple(range(1, d)) + (0,)] if d > 1 else []
+        keys = set()
+        for r in perms:
+            for q in partitions.values():
+                blocks = _join(_cycle_masks(r), q)
+                key = _orbit_key(r, blocks)
+                for t in gens:
+                    r2, blocks2 = [0] * d, [0] * d
+                    for x in range(d):
+                        r2[t[x]] = t[r[x]]
+                        blocks2[t[x]] = blocks[x]
+                    assert _orbit_key(r2, blocks2) == key
+                keys.add(key)
+        assert len(keys) == _orbit_count(d, True)
+        for key in keys:
+            assert _orbit_key(*_representative(key)) == key
+        assert _orbit_count(d, False) == len(partitions_of(d))
 
 
 def _or_of(masks, sel):
@@ -161,11 +183,10 @@ def _or_of(masks, sel):
 
 
 def test_brute_force_object_dtype_path(cache):
-    # order^(2h+n) ≥ 2^62 switches both oracles to Python-int object arrays
+    # long point lists, whose a priori bound d!^n on the tuple count exceeds 2^62
     for d, nu, k in [(3, P([2, 1]), 24), (4, P([2, 1, 1]), 14), (5, P([2, 1, 1, 1]), 10)]:
         spec = RepeatedSpec(CoverSpec(0, d, ()), nu, k=k)
         cover = spec.cover_spec()
-        assert _dtype_for(cover, _group(d)) is object
         assert brute_force_connected(cover) == connected(spec, cache)
         assert brute_force_disconnected(cover) == disconnected(cover, cache)
 
@@ -189,11 +210,17 @@ def test_brute_force_examples():
 
 def test_brute_force_budget_guard():
     with pytest.raises(BudgetError):
-        brute_force_disconnected(CoverSpec(0, 7, ()))
+        brute_force_disconnected(CoverSpec(0, 9, ()))
     with pytest.raises(BudgetError):
         brute_force_disconnected(CoverSpec(2, 4, ()))
     with pytest.raises(BudgetError):
         brute_force_connected(CoverSpec(1, 5, (P([2, 1, 1, 1]),)), budget=10)
+
+
+def test_import_loads_no_numpy():
+    code = "import sys, snhurwitz; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_disconnected_examples(cache):

@@ -7,6 +7,9 @@ from snhurwitz.errors import GenusError, HypothesisError
 from snhurwitz.hurwitz import CoverSpec, RepeatedSpec, brute_force_connected, disconnected
 from snhurwitz.partitions import Partition, dimension, partitions_of
 from snhurwitz.structure import (
+    _prefactor,
+    _resolve_parity,
+    _sample_exponents,
     asymptotic_ratio,
     extract_b_connected,
     extract_b_disconnected,
@@ -14,7 +17,13 @@ from snhurwitz.structure import (
 )
 from snhurwitz.young_trees import central_character_from_trees
 
-from oracles import candidate_moduli, solve_b_connected, spectrum, spectrum_b_disconnected
+from oracles import (
+    _solve_moment_system,
+    candidate_moduli,
+    solve_b_connected,
+    spectrum,
+    spectrum_b_disconnected,
+)
 
 P = Partition
 
@@ -221,6 +230,25 @@ def test_t5_clauses_one_to_four_pass_and_clause5_known_defect(cache):
     assert not by_id[5]["pass"]
     assert by_id[5]["expected"] == "36" and by_id[5]["got"] == "196"
     assert by_id[5]["got"] == str(dimension(P([5, 2])) ** 2)
+
+
+def test_t5_t1_t6_tables_from_brute_force_counts_d7(cache):
+    # character-free tables at d = 7: monodromy counts at |support| + 2
+    # exponents, the last two held out of the moment solve
+    d = 7
+    prefac = _prefactor(0, d, ())
+    for nu in (P([6, 1]), P([2, 1, 1, 1, 1, 1]), P([7])):
+        support = candidate_moduli(d, nu, cache)
+        ks = _sample_exponents(_resolve_parity(nu, (), None)[0], len(support) + 2)
+        values = [brute_force_connected(RepeatedSpec(CoverSpec(0, d, ()), nu, k=k).cover_spec())
+                  / prefac for k in ks]
+        solved = _solve_moment_system(support, ks[0], values[:-2])
+        for k, value in zip(ks[-2:], values[-2:]):
+            assert sum(b * m**k for m, b in solved.items()) == value, (nu, k)
+        entries = {m: b for m, b in solved.items() if b}
+        assert entries == extract_b_connected(0, d, (), nu, cache).entries, nu
+        if nu == P([6, 1]):
+            assert entries[2 * (d - 2) * factorial(d - 4)] == 196
 
 
 def test_t6(cache):
