@@ -204,6 +204,10 @@ def _cmd_conjecture(args, cache) -> int:
 
 
 def _cmd_cache(args, cache) -> int:
+    # checked up front: the warm-up fills every degree below d before χ
+    # itself would reject d
+    if not 1 <= args.d <= cache.max_degree:
+        raise SnHurwitzError(f"cache warm needs 1 ≤ d ≤ {cache.max_degree}, got {args.d}")
     for d in range(1, args.d + 1):
         for lam in partitions_of(d):
             for mu in partitions_of(d):

@@ -3,11 +3,12 @@
 For a fixed degree, target genus, fixed profiles μ^(1..s) and one repeated
 profile ν, both the disconnected and connected Hurwitz numbers are finite
 sums  prefactor · Σ_m b(m)·m^k  over positive integer moduli m, where k is
-the number of ν-points.  Both tables fold one table of eigenvalue functions
-by the eigenvalue of ν: the character sum grouped by eigenfunction for the
-disconnected table, and the same after the component-peeling recursion for
-the connected one.  Each table is checked against the count it expands
-(the character sum, or the count-level recursion) at held-out exponents.
+the number of ν-points.  Both tables are one fold by the eigenvalue of ν:
+of the character sum's terms for the disconnected table, and of the table
+of eigenvalue functions the component-peeling recursion builds from those
+terms for the connected one.  Each table is checked against the count it
+expands (the character sum, or the count-level recursion) at held-out
+exponents.
 """
 
 from __future__ import annotations
@@ -165,19 +166,24 @@ class _TableComputer:
             out.append(acc)
         return tuple(out)
 
+    def terms(self, delta: int, omegas: tuple):
+        """Yield (λ, weight·∏_ω f(ω, λ)) over λ ⊢ δ with a nonzero term: the
+        character sum of a δ-sheet piece before any ν-point."""
+        f = self.computer.f
+        for lam, coeff in weights(self.computer.h, delta):
+            for om in omegas:
+                coeff *= f(om, lam)
+            if coeff:
+                yield lam, coeff
+
     def t_table(self, delta: int, omegas: tuple) -> dict[tuple[int, ...], int]:
         """The character sum of a δ-sheet piece, grouped by eigenfunction."""
         key = (delta, omegas)
         hit = self._t.get(key)
         if hit is not None:
             return hit
-        f = self.computer.f
         table: dict[tuple[int, ...], int] = {}
-        for lam, coeff in weights(self.computer.h, delta):
-            for om in omegas:
-                coeff *= f(om, lam)
-            if not coeff:
-                continue
+        for lam, coeff in self.terms(delta, omegas):
             e = self.eig(delta, lam)
             table[e] = table.get(e, 0) + coeff
         table = {e: c for e, c in table.items() if c}
@@ -210,11 +216,13 @@ def _extract(kind: str, h: int, d: int, mus: tuple[Partition, ...], nu: Partitio
              cache: CharCache | None, parity: int | None) -> BTable:
     """Fold the degree-d table of the given kind into b(m), then check it.
 
-    Each eigenfunction e adds its coefficient to m = |t|, t = e[ν], with
-    sign sgn(t)^k for k of the table's parity; each sum is divided by
-    2·d!^{2h}·∏(d!/z_μ), and the entries run in decreasing m.  The table is
-    then checked at held-out exponents of its parity against the count it
-    expands.
+    Each term adds its coefficient to m = |t|, with sign sgn(t)^k for k of
+    the table's parity, where t is ν's eigenvalue on the term: e[ν] for an
+    eigenfunction e of the connected table, f_ν(λ) for a term λ of the
+    character sum (the disconnected fold evaluates no other hand-off type).
+    Each sum is divided by 2·d!^{2h}·∏(d!/z_μ), and the entries run in
+    decreasing m.  The table is then checked at held-out exponents of its
+    parity against the count it expands.
     """
     if h < 0:
         raise GenusError("target genus must be nonnegative")
@@ -223,11 +231,14 @@ def _extract(kind: str, h: int, d: int, mus: tuple[Partition, ...], nu: Partitio
     mus = tuple(mus)
     computer = ConnectedComputer(h, d, mus, nu, cache)
     tables = _TableComputer(computer)
-    build = tables.tc_table if kind == "connected" else tables.t_table
-    full = computer.algebra.full
+    omegas = tuple(m.parts for m in mus)
+    if kind == "connected":
+        full = computer.algebra.full
+        pairs = ((e[full], coeff) for e, coeff in tables.tc_table(d, omegas).items())
+    else:
+        pairs = ((computer.f(nu.parts, lam), coeff) for lam, coeff in tables.terms(d, omegas))
     folded: dict[int, int] = {}
-    for e, coeff in build(d, tuple(m.parts for m in mus)).items():
-        t = e[full]
+    for t, coeff in pairs:
         if t:
             folded[abs(t)] = folded.get(abs(t), 0) + (coeff if (t > 0 or par == 0) else -coeff)
     norm = 2 * _integer_scale(h, d, mus)

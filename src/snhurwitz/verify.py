@@ -1,8 +1,10 @@
 """Exhaustive checkers for the character-ratio bounds and conjecture sweeps.
 
-Every comparison is exact rational arithmetic; "tight" means equality holds
-exactly.  Sweeps report violations and the extremal witnesses even when they
-pass, so larger runs can compare extremizers against desk-scale ones.
+Every comparison is exact: the ratio sweeps compare |χ_λ(μ)|/dim λ with a
+bound p/q by integer cross-multiplication, and build Fractions only for the
+records they report; "tight" means equality holds exactly.  Sweeps report
+violations and the extremal witnesses even when they pass, so larger runs
+can compare extremizers against desk-scale ones.
 """
 
 from __future__ import annotations
@@ -54,23 +56,28 @@ class BoundReport:
         }
 
 
-def _ratio(lam: Partition, mu: Partition, cache: CharCache | None) -> Fraction:
-    return abs(character_ratio(lam, mu, cache))
-
-
 def _scan(lams: list[Partition], mu: Partition, bound, cache: CharCache | None
           ) -> tuple[list[tuple[Partition, Fraction]], tuple[Fraction, Partition]]:
     """The ratios |χ_λ(μ)|/dim λ over lams against a bound: the (λ, ratio)
-    pairs with ratio ≥ bound, in lams order, and (max ratio, argmax)."""
+    pairs with ratio ≥ bound, in lams order, and (max ratio, argmax), the
+    first maximum in lams order.
+
+    A ratio |a|/b is compared with the bound p/q as |a|·q ≥ p·b and with
+    the running maximum the same way, in integers; Fractions are built only
+    for the hits and the maximum.
+    """
+    bound = Fraction(bound)
+    p, q = bound.numerator, bound.denominator
     at_or_above = []
-    best: tuple[Fraction, Partition] | None = None
+    top_num, top_den, argmax = -1, 1, None
     for lam in lams:
-        ratio = _ratio(lam, mu, cache)
-        if ratio >= bound:
-            at_or_above.append((lam, ratio))
-        if best is None or ratio > best[0]:
-            best = (ratio, lam)
-    return at_or_above, best
+        ratio = character_ratio(lam, mu, cache)
+        num, den = abs(ratio.numerator), ratio.denominator
+        if num * q >= p * den:
+            at_or_above.append((lam, abs(ratio)))
+        if num * top_den > top_num * den:
+            top_num, top_den, argmax = num, den, lam
+    return at_or_above, (Fraction(top_num, top_den), argmax)
 
 
 def check_lemma_l1(lam: Partition, r: int, cache: CharCache | None = None) -> dict:
@@ -80,7 +87,7 @@ def check_lemma_l1(lam: Partition, r: int, cache: CharCache | None = None) -> di
     if not 2 <= r <= d:
         raise HypothesisError(f"need 2 ≤ r ≤ d, got r={r}, d={d}")
     mu = Partition([r] + [1] * (d - r))
-    lhs = _ratio(lam, mu, cache)
+    lhs = abs(character_ratio(lam, mu, cache))
     straight = count_straight_trees(lam, r)
     rhs = Fraction(1, r - 1) + Fraction(r - 2, r - 1) * Fraction(straight, comb(d, r))
     return {

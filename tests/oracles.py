@@ -11,6 +11,10 @@ the tables' eigenfunction and convolution helpers.
 The spectrum fold builds a disconnected table straight from the signed
 central-character eigenvalues and the character ratios, in Fractions, so it
 shares neither the weights nor the table fold of the library route.
+
+The Fraction scan is the ratio sweeps' λ-scan with every comparison made on
+Fractions, one pair at a time, against which the library's integer
+cross-multiplication is checked.
 """
 
 from __future__ import annotations
@@ -164,3 +168,18 @@ def spectrum_b_disconnected(
         m = abs(t)
         entries[m] = entries.get(m, Fraction(0)) + term / 2
     return {m: b for m, b in sorted(entries.items(), reverse=True) if b}, par, vacuous
+
+
+def scan_fractions(lams: list[Partition], mu: Partition, bound, cache: CharCache | None = None
+                   ) -> tuple[list[tuple[Partition, Fraction]], tuple[Fraction, Partition]]:
+    """The (λ, |χ_λ(μ)|/dim λ) pairs with ratio ≥ bound, in lams order, and
+    (max ratio, first argmax), each ratio an abs-ed Fraction."""
+    at_or_above = []
+    best: tuple[Fraction, Partition] | None = None
+    for lam in lams:
+        ratio = abs(character_ratio(lam, mu, cache))
+        if ratio >= bound:
+            at_or_above.append((lam, ratio))
+        if best is None or ratio > best[0]:
+            best = (ratio, lam)
+    return at_or_above, best

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from snhurwitz import verify
+from snhurwitz import characters, verify
 from snhurwitz.cli import main
 
 
@@ -140,6 +140,19 @@ def test_cache_subcommands(run, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("cache", action)
         assert exc.value.code == 2
+
+
+def test_cache_warm_rejects_degree_before_any_work(run, monkeypatch):
+    # χ raises here, so a bound checked only after the warm-up fails at once
+    # instead of filling every degree below 31
+    def no_chi(*args):
+        raise AssertionError("cache warm evaluated χ for an out-of-range degree")
+
+    monkeypatch.setattr(characters, "chi", no_chi)
+    for d in ("31", "0", "-1"):
+        code, out, err = run("cache", "warm", "--d", d)
+        assert code == 2 and not out, d
+        assert f"cache warm needs 1 ≤ d ≤ 30, got {d}" in err
 
 
 def test_pretty_format(run):

@@ -3,9 +3,15 @@ from math import factorial
 
 import pytest
 
+from oracles import scan_fractions
+from snhurwitz import verify
+from snhurwitz.characters import character_ratio
 from snhurwitz.errors import HypothesisError
 from snhurwitz.partitions import Partition, partitions_of
 from snhurwitz.verify import (
+    _conjecture1_clause,
+    _rm2_bound,
+    _scan,
     check_conjecture1,
     check_conjecture_b,
     check_lemma_l1,
@@ -16,6 +22,77 @@ from snhurwitz.verify import (
 from snhurwitz.young_trees import frobenius_central_character
 
 P = Partition
+
+
+def _exact(scan):
+    """A scan result with each value tagged by its type, so that an int
+    standing in for a Fraction does not compare equal."""
+    hits, (top, argmax) = scan
+    return [(lam, type(x), x) for lam, x in hits], (type(top), top, argmax)
+
+
+def test_scan_matches_fraction_oracle(cache):
+    # every μ ⊢ d ≤ 12, against 0, theorem B's int bound 1, and the
+    # conjecture 1 and lemma rm2 bounds of μ where they are defined; over
+    # every λ ⊢ d (theorem B) and without (d) and (1^d) (the other sweeps)
+    for d in range(1, 13):
+        every = partitions_of(d)
+        inner = [lam for lam in every if lam not in (P([d]), P([1] * d))]
+        for mu in every:
+            bounds = [0, 1]
+            if d >= 4:
+                clause = _conjecture1_clause(d, mu)
+                if not isinstance(clause, str):
+                    bounds.append(clause[1])
+                if mu.parts[0] >= 2 and mu.colength == mu.parts[0] - 1:
+                    bounds.append(_rm2_bound(d, mu.parts[0]))
+            for lams in (every, inner) if inner else (every,):
+                for bound in bounds:
+                    assert _exact(_scan(lams, mu, bound, cache)) == \
+                        _exact(scan_fractions(lams, mu, bound, cache)), (mu, bound)
+
+
+def test_scan_edge_cases(cache):
+    # S(3): χ_(2,1) = 2, 0, −1 and χ_(1^3) = 1, −1, 1 on (1^3), (2,1), (3)
+    three, hook, sign = P([3]), P([2, 1]), P([1, 1, 1])
+    lams = [three, hook, sign]
+    half = Fraction(1, 2)
+    # |χ_(2,1)(3)|/2 = 1/2: equality at the bound is a hit, just above it is not
+    assert _scan(lams, P([3]), half, cache) == ([(three, 1), (hook, half), (sign, 1)], (1, three))
+    assert _scan(lams, P([3]), Fraction(51, 100), cache) == ([(three, 1), (sign, 1)], (1, three))
+    # χ_(1^3)(2,1) = −1 is compared by its absolute value, and reported as 1
+    assert _scan(lams, P([2, 1]), 1, cache) == ([(three, 1), (sign, 1)], (1, three))
+    # χ_(2,1)(2,1) = 0: a hit at bound 0 only, and the maximum of a zero row
+    assert _scan(lams, P([2, 1]), 0, cache)[0] == [(three, 1), (hook, 0), (sign, 1)]
+    assert _scan([hook], P([2, 1]), Fraction(1, 100), cache) == ([], (0, hook))
+    # the first maximum in lams order wins a tie
+    assert _scan([sign, hook, three], P([2, 1]), 2, cache) == ([], (1, sign))
+    # S(4) on (2,2): ratios 1, 1/3, 1, 1/3, 1 for (4), (3,1), (2,2), (2,1,1), (1^4)
+    lams, third = partitions_of(4), Fraction(1, 3)
+    hits, _ = _scan(lams, P([2, 2]), third, cache)
+    assert [x for _, x in hits] == [1, third, 1, third, 1]
+    hits, _ = _scan(lams, P([2, 2]), Fraction(2, 5), cache)
+    assert [lam for lam, _ in hits] == [P([4]), P([2, 2]), P([1] * 4)]
+    for mu in (P([3]), P([2, 1])):
+        hits, (top, _) = _scan([three, hook, sign], mu, 0, cache)
+        assert all(type(x) is Fraction for _, x in hits) and type(top) is Fraction
+
+
+def test_sweeps_call_character_ratio_once_per_checked_pair(cache, monkeypatch):
+    # the benchmark traces verify.character_ratio and counts one call per
+    # checked (λ, μ) pair; a sweep that bypasses it would break that count
+    calls = []
+
+    def counting(lam, mu, cache=None):
+        calls.append(None)
+        return character_ratio(lam, mu, cache)
+
+    monkeypatch.setattr(verify, "character_ratio", counting)
+    for sweep, d in ((check_conjecture1, 10), (check_theorem_B, 7),
+                     (check_lemma_rm2, 8), (sweep_lemma_l1, 6)):
+        calls.clear()
+        report = sweep(d, cache=cache)
+        assert report.checked and len(calls) == report.checked, sweep.__name__
 
 
 def test_lemma_l1_entry_trivial_row(cache):
