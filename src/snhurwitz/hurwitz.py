@@ -3,18 +3,23 @@
 Disconnected counts come from the character (Burnside) sum; connected
 counts from the degree-convolution recursion that peels off the component
 containing sheet 1, with repeated branch points aggregated by the multiset
-of per-point sub-profiles.  Independent permutation-level oracles count
-monodromy tuples directly, using no characters, in plain Python integers:
-a state (partial product r, orbit partition p coarser than r's cycles)
-collapses to its conjugation orbit, the sorted cycle types of r on the
-blocks of p, because every class is closed under conjugation.  A
-distribution over orbits advances one branch point at a time along
-transitions counted once per (orbit, class) from one representative; the
-transitive count is the mass on the identity over the full partition.
+of per-point sub-profiles.  `ConnectedComputer` runs that recursion in two
+forms: on counts at one repeat count, and on tables of eigenfunctions that
+carry every repeat count at once, which `structure` folds into b(m).
+
+Independent permutation-level oracles count monodromy tuples directly,
+using no characters, in plain Python integers: a state (partial product r,
+orbit partition p coarser than r's cycles) collapses to its conjugation
+orbit, the sorted cycle types of r on the blocks of p, because every class
+is closed under conjugation.  A distribution over orbits advances one
+branch point at a time along transitions counted once per (orbit, class)
+from one representative; the transitive count is the mass on the identity
+over the full partition.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -122,11 +127,14 @@ def weights(h: int, delta: int) -> tuple[tuple[Partition, int], ...]:
 
 
 def disconnected(spec: CoverSpec, cache: CharCache | None = None) -> Fraction:
-    """Σ_λ (dim λ/d!)^{2−2h} ∏_i f_{θ^(i)}(λ), the disconnected cover count."""
+    """Σ_λ (dim λ/d!)^{2−2h} ∏_i f_{θ^(i)}(λ), the disconnected cover count;
+    each distinct profile is evaluated once per λ and raised to its
+    multiplicity."""
+    grouped = Counter(spec.profiles).items()
     total = 0
     for lam, term in weights(spec.h, spec.d):
-        for theta in spec.profiles:
-            term *= central_character(theta, lam, cache)
+        for theta, n in grouped:
+            term *= central_character(theta, lam, cache) ** n
         total += term
     return Fraction(total, factorial(spec.d) ** 2)
 
@@ -354,17 +362,31 @@ def mu_splits(delta1: int, omegas: tuple):
 
 
 class ConnectedComputer:
-    """Connected Hurwitz numbers for one (h, d, μ's, ν) family, any repeat count.
+    """Connected Hurwitz numbers for one (h, d, μ's, ν) family, in two forms.
 
-    Counts transitive monodromy tuples by peeling the component that contains
-    sheet 1.  Because all ν-points carry the same profile, a component's state
-    only needs the multiset of per-point sub-profiles, encoded as counts over
-    the sub-multisets of ν's non-unit parts (unit parts pad every component to
-    its degree).  Memos persist across repeat counts, so sampling many k
-    against one family is cheap.
+    Both forms count transitive monodromy tuples by peeling the component
+    that contains sheet 1.  Because all ν-points carry the same profile, a
+    component's state only needs the multiset of per-point sub-profiles,
+    encoded as counts over the sub-multisets of ν's non-unit parts (unit
+    parts pad every component to its degree).
+
+    The count form (`value`) runs the recursion at one repeat count.  Its
+    memos persist across repeat counts, so sampling many k against one
+    family is cheap.
+
+    The table form (`t_table`, `tc_table`) carries the whole k-dependence
+    symbolically.  A piece of degree δ contributes, per ν-point, a factor
+    depending only on the hand-off type the point gives that piece; the
+    vector of those factors over all types is the piece's eigenfunction
+    (`eig`), and a table maps eigenfunctions to exact coefficients.  Two
+    pieces' eigenfunctions combine by `convolve` over the hand-off splits.
 
     All arithmetic is on integers: a δ-sheet piece sums the character-sum
-    weights of `weights(h, δ)`.
+    weights of `weights(h, δ)`, δ!² times (dim λ/δ!)^{2−2h}.  The count form
+    divides by δ! once per piece; the table form keeps the factor, which
+    puts an extra binomial comb(δ, δ₁) on each convolution term and leaves
+    one division for the fold into b(m).  `value` reads no table, so the
+    two forms stay independent checks of each other.
     """
 
     def __init__(self, h: int, d: int, mus: tuple[Partition, ...], nu: Partition,
@@ -372,12 +394,14 @@ class ConnectedComputer:
         self.h = h
         self.d = d
         self.mus = tuple(mus)
-        self.nu = nu
         self.cache = cache
         self.algebra = NuSplitAlgebra(nu)
         self._fvals: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         self._memo_t: dict = {}
         self._memo_tc: dict = {}
+        self._eigs: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+        self._t: dict = {}
+        self._tc: dict = {}
 
     def f(self, profile: tuple[int, ...], lam: Partition) -> int:
         """Memoized central character of the class with the given parts on λ."""
@@ -388,6 +412,16 @@ class ConnectedComputer:
             self._fvals[key] = hit
         return hit
 
+    def terms(self, delta: int, omegas: tuple):
+        """Yield (λ, weight·∏_ω f(ω, λ)) over λ ⊢ δ with a nonzero term: the
+        character sum of a δ-sheet piece before any ν-point."""
+        f = self.f
+        for lam, coeff in weights(self.h, delta):
+            for om in omegas:
+                coeff *= f(om, lam)
+            if coeff:
+                yield lam, coeff
+
     def _tuples_all(self, delta: int, counts: tuple[int, ...], omegas: tuple) -> int:
         """δ!·(disconnected count) for a δ-sheet piece with the given points."""
         key = (delta, counts, omegas)
@@ -395,9 +429,7 @@ class ConnectedComputer:
         if hit is not None:
             return hit
         total = 0
-        for lam, term in weights(self.h, delta):
-            for om in omegas:
-                term *= self.f(om, lam)
+        for lam, term in self.terms(delta, omegas):
             for tidx, n in enumerate(counts):
                 if n:
                     term *= self.f(self.algebra.point_profile(tidx, delta), lam) ** n
@@ -470,6 +502,65 @@ class ConnectedComputer:
         omegas = tuple(m.parts for m in self.mus)
         count = self._tuples_transitive(self.d, tuple(counts), omegas)
         return Fraction(count, factorial(self.d))
+
+    def eig(self, delta: int, lam: Partition) -> tuple[int, ...]:
+        """λ's factor per ν-point of each hand-off type on a δ-sheet piece;
+        0 for types whose non-unit parts need more than δ sheets."""
+        key = (delta, lam.parts)
+        hit = self._eigs.get(key)
+        if hit is None:
+            alg, f = self.algebra, self.f
+            hit = tuple(
+                f(alg.point_profile(t, delta), lam) if alg.tsum[t] <= delta else 0
+                for t in range(len(alg.types))
+            )
+            self._eigs[key] = hit
+        return hit
+
+    def convolve(self, d1: int, e1: tuple[int, ...], d2: int, e2: tuple[int, ...]) -> tuple[int, ...]:
+        """The eigenfunction of a d1-sheet and a d2-sheet piece together."""
+        out = []
+        for pairs in self.algebra.fitting(d1, d2):
+            acc = 0
+            for b, rest in pairs:
+                acc += e1[b] * e2[rest]
+            out.append(acc)
+        return tuple(out)
+
+    def t_table(self, delta: int, omegas: tuple) -> dict[tuple[int, ...], int]:
+        """The character sum of a δ-sheet piece, grouped by eigenfunction."""
+        key = (delta, omegas)
+        hit = self._t.get(key)
+        if hit is not None:
+            return hit
+        table: dict[tuple[int, ...], int] = {}
+        for lam, coeff in self.terms(delta, omegas):
+            e = self.eig(delta, lam)
+            table[e] = table.get(e, 0) + coeff
+        table = {e: c for e, c in table.items() if c}
+        self._t[key] = table
+        return table
+
+    def tc_table(self, delta: int, omegas: tuple) -> dict[tuple[int, ...], int]:
+        """As t_table, for transitive tuples only: sheet 1's component peeled off."""
+        key = (delta, omegas)
+        hit = self._tc.get(key)
+        if hit is not None:
+            return hit
+        table = dict(self.t_table(delta, omegas))
+        for d1 in range(1, delta):
+            d2 = delta - d1
+            ways = comb(delta - 1, d1 - 1) * comb(delta, d1)
+            for om1, om2 in mu_splits(d1, omegas):
+                first = self.tc_table(d1, om1)
+                rest = self.t_table(d2, om2)
+                for e1, c1 in first.items():
+                    for e2, c2 in rest.items():
+                        e = self.convolve(d1, e1, d2, e2)
+                        table[e] = table.get(e, 0) - ways * c1 * c2
+        table = {e: c for e, c in table.items() if c}
+        self._tc[key] = table
+        return table
 
 
 def connected(spec: RepeatedSpec, cache: CharCache | None = None) -> Fraction:

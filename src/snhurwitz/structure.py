@@ -5,23 +5,24 @@ profile ν, both the disconnected and connected Hurwitz numbers are finite
 sums  prefactor · Σ_m b(m)·m^k  over positive integer moduli m, where k is
 the number of ν-points.  Both tables are one fold by the eigenvalue of ν:
 of the character sum's terms for the disconnected table, and of the table
-of eigenvalue functions the component-peeling recursion builds from those
-terms for the connected one.  Each table is checked against the count it
-expands (the character sum, or the count-level recursion) at held-out
-exponents.
+of eigenvalue functions that `hurwitz.ConnectedComputer.tc_table` builds
+from those terms for the connected one.  Each table is checked against the
+count it expands (the character sum, or the count form of the recursion,
+`ConnectedComputer.value`) at held-out exponents.  The named statements and
+the asymptotic ratio are checked on these tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import factorial, prod
 
 from .characters import CharCache
 from .characters import central_character  # noqa: F401  (rebound by bench/workloads.py's tracing)
 from .characters import character_ratio  # noqa: F401  (rebound by bench/workloads.py's tracing)
 from .errors import GenusError, HypothesisError, SizeMismatchError, SupportError
-from .hurwitz import ConnectedComputer, CoverSpec, disconnected, mu_splits, weights
+from .hurwitz import ConnectedComputer, CoverSpec, disconnected
 from .partitions import Partition
 
 
@@ -119,99 +120,6 @@ def _sample_exponents(parity: int, count: int, start_at_least: int = 1) -> list[
     return [k0 + 2 * i for i in range(count)]
 
 
-# -- eigenvalue-function tables ---------------------------------------------
-
-
-class _TableComputer:
-    """Component-peeling recursion over tables of eigenvalue functions.
-
-    A piece of degree δ contributes, per ν-point, a factor depending only on
-    the sub-multiset of ν's non-unit parts the point hands that piece; the
-    vector of those factors over all hand-off types is the piece's
-    eigenfunction.  Tables map eigenfunctions to exact coefficients, so the
-    whole k-dependence of a Hurwitz sequence is carried symbolically and the
-    connected table falls out of one recursion instead of many evaluations.
-
-    Coefficients are integers: a degree-δ table holds the weights of
-    `hurwitz.weights`, δ!² times the character sum's (dim λ/δ!)^{2−2h}, which
-    puts an extra binomial comb(δ, δ₁) on each convolution term and leaves
-    one division for the fold into b(m).
-    """
-
-    def __init__(self, computer: ConnectedComputer):
-        self.computer = computer
-        self.alg = computer.algebra
-        self._eigs: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
-        self._t: dict = {}
-        self._tc: dict = {}
-
-    def eig(self, delta: int, lam: Partition) -> tuple[int, ...]:
-        key = (delta, lam.parts)
-        hit = self._eigs.get(key)
-        if hit is None:
-            alg, f = self.alg, self.computer.f
-            hit = tuple(
-                f(alg.point_profile(t, delta), lam) if alg.tsum[t] <= delta else 0
-                for t in range(len(alg.types))
-            )
-            self._eigs[key] = hit
-        return hit
-
-    def convolve(self, d1: int, e1: tuple[int, ...], d2: int, e2: tuple[int, ...]) -> tuple[int, ...]:
-        out = []
-        for pairs in self.alg.fitting(d1, d2):
-            acc = 0
-            for b, rest in pairs:
-                acc += e1[b] * e2[rest]
-            out.append(acc)
-        return tuple(out)
-
-    def terms(self, delta: int, omegas: tuple):
-        """Yield (λ, weight·∏_ω f(ω, λ)) over λ ⊢ δ with a nonzero term: the
-        character sum of a δ-sheet piece before any ν-point."""
-        f = self.computer.f
-        for lam, coeff in weights(self.computer.h, delta):
-            for om in omegas:
-                coeff *= f(om, lam)
-            if coeff:
-                yield lam, coeff
-
-    def t_table(self, delta: int, omegas: tuple) -> dict[tuple[int, ...], int]:
-        """The character sum of a δ-sheet piece, grouped by eigenfunction."""
-        key = (delta, omegas)
-        hit = self._t.get(key)
-        if hit is not None:
-            return hit
-        table: dict[tuple[int, ...], int] = {}
-        for lam, coeff in self.terms(delta, omegas):
-            e = self.eig(delta, lam)
-            table[e] = table.get(e, 0) + coeff
-        table = {e: c for e, c in table.items() if c}
-        self._t[key] = table
-        return table
-
-    def tc_table(self, delta: int, omegas: tuple) -> dict[tuple[int, ...], int]:
-        """As t_table, for transitive tuples only: sheet 1's component peeled off."""
-        key = (delta, omegas)
-        hit = self._tc.get(key)
-        if hit is not None:
-            return hit
-        table = dict(self.t_table(delta, omegas))
-        for d1 in range(1, delta):
-            d2 = delta - d1
-            ways = comb(delta - 1, d1 - 1) * comb(delta, d1)
-            for om1, om2 in mu_splits(d1, omegas):
-                first = self.tc_table(d1, om1)
-                rest = self.t_table(d2, om2)
-                for e1, c1 in first.items():
-                    for e2, c2 in rest.items():
-                        e = self.convolve(d1, e1, d2, e2)
-                        table[e] = table.get(e, 0) - ways * c1 * c2
-        table = {e: c for e, c in table.items() if c}
-        self._tc[key] = table
-        return table
-
-
 def _extract(kind: str, h: int, d: int, mus: tuple[Partition, ...], nu: Partition,
              cache: CharCache | None, parity: int | None) -> BTable:
     """Fold the degree-d table of the given kind into b(m), then check it.
@@ -224,19 +132,17 @@ def _extract(kind: str, h: int, d: int, mus: tuple[Partition, ...], nu: Partitio
     decreasing m.  The table is then checked at held-out exponents of its
     parity against the count it expands.
     """
-    if h < 0:
-        raise GenusError("target genus must be nonnegative")
-    par, vacuous = _resolve_parity(nu, mus, parity)
-    _check_nu(d, nu)
     mus = tuple(mus)
+    CoverSpec(h, d, mus)  # rejects a negative genus and profiles not of size d
+    _check_nu(d, nu)
+    par, vacuous = _resolve_parity(nu, mus, parity)
     computer = ConnectedComputer(h, d, mus, nu, cache)
-    tables = _TableComputer(computer)
     omegas = tuple(m.parts for m in mus)
     if kind == "connected":
         full = computer.algebra.full
-        pairs = ((e[full], coeff) for e, coeff in tables.tc_table(d, omegas).items())
+        pairs = ((e[full], coeff) for e, coeff in computer.tc_table(d, omegas).items())
     else:
-        pairs = ((computer.f(nu.parts, lam), coeff) for lam, coeff in tables.terms(d, omegas))
+        pairs = ((computer.f(nu.parts, lam), coeff) for lam, coeff in computer.terms(d, omegas))
     folded: dict[int, int] = {}
     for t, coeff in pairs:
         if t:

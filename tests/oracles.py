@@ -6,7 +6,7 @@ exponents of the table's parity as there are candidate moduli, then solve
 the exact Vandermonde-type moment system.  The values come from
 ConnectedComputer.value, not from the library's eigenvalue-table recursion,
 so the two routes cross-check each other; the candidate support reuses only
-the tables' eigenfunction and convolution helpers.
+ConnectedComputer's eigenfunction and convolution helpers.
 
 The spectrum fold builds a disconnected table straight from the signed
 central-character eigenvalues and the character ratios, in Fractions, so it
@@ -26,7 +26,7 @@ from snhurwitz.characters import CharCache, central_character, character_ratio
 from snhurwitz.errors import SupportError
 from snhurwitz.hurwitz import ConnectedComputer
 from snhurwitz.partitions import Partition, dimension, partitions_of
-from snhurwitz.structure import _check_nu, _prefactor, _resolve_parity, _sample_exponents, _TableComputer
+from snhurwitz.structure import _check_nu, _prefactor, _resolve_parity, _sample_exponents
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def candidate_moduli(d: int, nu: Partition, cache: CharCache | None = None) -> l
     hit = _CANDIDATE_MEMO.get(memo_key)
     if hit is not None:
         return list(hit)
-    helper = _TableComputer(ConnectedComputer(0, d, (), nu, cache))
+    helper = ConnectedComputer(0, d, (), nu, cache)
     memo: dict[int, set[tuple[int, ...]]] = {}
 
     def products(delta: int) -> set[tuple[int, ...]]:
@@ -79,7 +79,7 @@ def candidate_moduli(d: int, nu: Partition, cache: CharCache | None = None) -> l
         memo[delta] = out
         return out
 
-    full = helper.alg.full
+    full = helper.algebra.full
     out = sorted({abs(e[full]) for e in products(d) if e[full]}, reverse=True)
     _CANDIDATE_MEMO[memo_key] = out
     return list(out)

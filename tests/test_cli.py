@@ -106,6 +106,16 @@ def test_usage_errors(run):
                  ("conjecture", "cH9", "--d", "10", "--nu", "4,3,3")):
         code, out, err = run(*argv, "--target-genus", "-1")
         assert code == 2 and not out and "target genus must be nonnegative" in err, argv
+    for argv, message in ((("bseries", "--kind", "connected", "--d", "7", "--nu", "2,1^5", "--profile", "3"),
+                           "profile 3 does not partition d=7"),
+                          (("verify", "T1", "--d", "7", "--r", "2", "--profile", "3"),
+                           "profile 3 does not partition d=7"),
+                          (("conjecture", "cH9", "--d", "10", "--nu", "4,3,3", "--profile", "2"),
+                           "profile 2 does not partition d=10"),
+                          (("bseries", "--kind", "connected", "--d", "7", "--nu", "2,1^4", "--parity", "odd"),
+                           "nu=2,1,1,1,1 does not partition d=7")):
+        code, out, err = run(*argv)
+        assert code == 2 and not out and message in err, argv
     with pytest.raises(SystemExit) as exc:
         run("conjecture", "cH9", "--d", "11", "--nu", "4,4,3", "--max-degree", "11")
     assert exc.value.code == 2

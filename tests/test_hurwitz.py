@@ -2,10 +2,11 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
+from snhurwitz import hurwitz
 from snhurwitz.errors import BudgetError, GenusError, SizeMismatchError
 from snhurwitz.hurwitz import (
     ConnectedComputer,
@@ -182,7 +183,7 @@ def _or_of(masks, sel):
     return out
 
 
-def test_brute_force_object_dtype_path(cache):
+def test_brute_force_long_point_lists(cache):
     # long point lists, whose a priori bound d!^n on the tuple count exceeds 2^62
     for d, nu, k in [(3, P([2, 1]), 24), (4, P([2, 1, 1]), 14), (5, P([2, 1, 1, 1]), 10)]:
         spec = RepeatedSpec(CoverSpec(0, d, ()), nu, k=k)
@@ -240,6 +241,23 @@ def test_disconnected_oracle_equivalence(cache):
                 for combo in combinations_with_replacement(classes, n):
                     spec = CoverSpec(h, d, combo)
                     assert disconnected(spec, cache) == brute_force_disconnected(spec)
+
+
+def test_disconnected_evaluates_each_distinct_profile_once(cache, monkeypatch):
+    calls = []
+
+    def counting(theta, lam, cache=None):
+        calls.append(theta)
+        return central(theta, lam, cache)
+
+    central = hurwitz.central_character
+    monkeypatch.setattr(hurwitz, "central_character", counting)
+    for d, nu, mu, k in [(4, P([2, 1, 1]), P([3, 1]), 6), (6, P([3, 3]), P([2, 2, 1, 1]), 5)]:
+        spec = CoverSpec(0, d, (nu,) * k + (mu,))
+        calls.clear()
+        value = disconnected(spec, cache)
+        assert len(calls) == 2 * len(partitions_of(d))
+        assert value == brute_force_disconnected(spec)
 
 
 def test_repeated_spec_genus_conversion():
@@ -343,3 +361,36 @@ def test_tuples_all_equals_scaled_character_sum(cache):
                                 CoverSpec(h, delta, profiles), cache)
                             got = comp._tuples_all(delta, tuple(counts), omegas)
                             assert got == expected, (d, nu, h, delta, counts, omegas)
+
+
+def test_count_and_table_forms_agree_on_every_piece(cache):
+    # each piece's δ!-scaled counts, evaluated from the tables at every count
+    # vector of total ≤ 3 over the hand-off types that fit δ; the held-out
+    # check of a connected table reaches only the full type at degree d
+    def at(table, counts):
+        return sum(c * prod(e[t] ** n for t, n in enumerate(counts)) for e, c in table.items())
+
+    checks = 0
+    for d, nu in [(4, P([2, 2])), (5, P([3, 2])), (6, P([3, 2, 1])), (6, P([2, 2, 1, 1]))]:
+        for h in (0, 1, 2):
+            comp = ConnectedComputer(h, d, (), nu, cache)
+            alg = comp.algebra
+            for delta in range(1, d + 1):
+                fitting = [t for t in range(len(alg.types)) if alg.tsum[t] <= delta]
+                for omegas in [()] + [(lam.parts,) for lam in partitions_of(delta)[:2]]:
+                    t_table = comp.t_table(delta, omegas)
+                    tc_table = comp.tc_table(delta, omegas)
+                    for ns in product(range(4), repeat=len(fitting)):
+                        if sum(ns) > 3:
+                            continue
+                        counts = [0] * len(alg.types)
+                        for t, n in zip(fitting, ns):
+                            counts[t] = n
+                        counts = tuple(counts)
+                        where = (d, nu, h, delta, counts, omegas)
+                        scale = factorial(delta)
+                        assert comp._tuples_all(delta, counts, omegas) * scale == at(t_table, counts), where
+                        assert (comp._tuples_transitive(delta, counts, omegas) * scale
+                                == at(tc_table, counts)), where
+                        checks += 2
+    assert checks == 6042
