@@ -1,8 +1,8 @@
 """Exhaustive checkers for the character-ratio bounds and conjecture sweeps.
 
-Every comparison is exact: the ratio sweeps compare |χ_λ(μ)|/dim λ with a
-bound p/q by integer cross-multiplication, and build Fractions only for the
-records they report; "tight" means equality holds exactly.  Sweeps report
+Every comparison is exact: the ratio sweeps read each |χ_λ(μ)|/dim λ as a
+reduced Fraction from character_ratio and compare it with a bound p/q by
+integer cross-multiplication; "tight" means equality holds exactly.  Sweeps report
 violations and the extremal witnesses even when they pass, so larger runs
 can compare extremizers against desk-scale ones.
 """
@@ -62,9 +62,11 @@ def _scan(lams: list[Partition], mu: Partition, bound, cache: CharCache | None
     pairs with ratio ≥ bound, in lams order, and (max ratio, argmax), the
     first maximum in lams order.
 
-    A ratio |a|/b is compared with the bound p/q as |a|·q ≥ p·b and with
-    the running maximum the same way, in integers; Fractions are built only
-    for the hits and the maximum.
+    character_ratio builds one reduced Fraction a/b per pair.  Its
+    numerator and denominator are compared with the bound p/q as
+    |a|·q ≥ p·b and with the running maximum the same way, in integers, so
+    no Fraction arithmetic runs; a further Fraction is built only for each
+    hit's |a|/b and for the maximum.
     """
     bound = Fraction(bound)
     p, q = bound.numerator, bound.denominator

@@ -14,7 +14,8 @@ shares neither the weights nor the table fold of the library route.
 
 The Fraction scan is the ratio sweeps' λ-scan with every comparison made on
 Fractions, one pair at a time, against which the library's integer
-cross-multiplication is checked.
+cross-multiplication is checked.  It reads χ by the entry recursion (`chi`),
+while the sweeps read it from character_ratio's columns.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from snhurwitz.characters import CharCache, central_character, character_ratio
+from snhurwitz.characters import CharCache, central_character, character_ratio, chi
 from snhurwitz.errors import SupportError
 from snhurwitz.hurwitz import ConnectedComputer
 from snhurwitz.partitions import Partition, dimension, partitions_of
@@ -177,7 +178,7 @@ def scan_fractions(lams: list[Partition], mu: Partition, bound, cache: CharCache
     at_or_above = []
     best: tuple[Fraction, Partition] | None = None
     for lam in lams:
-        ratio = abs(character_ratio(lam, mu, cache))
+        ratio = abs(Fraction(chi(lam, mu, cache), dimension(lam)))
         if ratio >= bound:
             at_or_above.append((lam, ratio))
         if best is None or ratio > best[0]:

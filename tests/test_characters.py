@@ -11,7 +11,7 @@ from snhurwitz.characters import (
     chi,
     one_cycle_central_character,
 )
-from snhurwitz.errors import SizeMismatchError
+from snhurwitz.errors import CeilingError, SizeMismatchError
 from snhurwitz.partitions import Partition, dimension, partitions_of
 
 
@@ -164,3 +164,26 @@ def test_character_ratio_examples(cache):
         ratio = character_ratio(Partition([d - 1, 1]), mu, cache)
         assert abs(ratio) == Fraction(d - r - 1, d - 1)
     assert character_ratio(Partition([2, 2]), Partition([2, 1, 1]), cache) == 0
+
+
+def test_character_ratio_columns_match_chi_entries():
+    # the column walk behind character_ratio against the entry recursion
+    # behind chi, each on a fresh memo, at every (λ, μ) of degree ≤ 14
+    for d in range(15):
+        by_columns, by_entries = CharCache(), CharCache()
+        classes = partitions_of(d)
+        for mu in classes:
+            for lam in classes:
+                ratio = character_ratio(lam, mu, by_columns)
+                assert ratio == Fraction(chi(lam, mu, by_entries), dimension(lam)), (lam, mu)
+        assert not by_columns._values
+    assert character_ratio(Partition(), Partition(), CharCache()) == 1
+
+
+def test_character_ratio_checks_before_building_columns():
+    memo = CharCache(max_degree=5)
+    with pytest.raises(SizeMismatchError):
+        character_ratio(Partition([2, 1]), Partition([2, 2]), memo)
+    with pytest.raises(CeilingError):
+        character_ratio(Partition([6]), Partition([3, 3]), memo)
+    assert not memo._columns

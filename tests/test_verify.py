@@ -244,6 +244,20 @@ def test_ch11_gap_holds_but_value_clause_fails(cache):
     assert any("2^{d/2-1},1" in n for n in rep["notes"])
 
 
+def test_ch11_gap_clauses_fail_at_d11(cache):
+    # clause 3 is checked as written (m_2(ν) ≠ 1): at m_2 = 0 its lower edge
+    # 2d·m_2·(d−3)!/z is 0, so it claims every b(m) below (d−1)!/z vanishes
+    rep = check_conjecture_b("cH11", 11, P([10, 1]), cache=cache)
+    by_id = {c["id"]: c for c in rep["clauses"]}
+    assert by_id[3]["interval"] == ["0", "362880"] and not by_id[3]["pass"]
+    assert by_id[3]["violations"][0] == {"m": "2880", "b": "-1920996"}
+    # clause 1 fails on the family the size-d exclusion (2^{(d-1)/2},1) would
+    # remove; the stated (2^{d/2-1},1) has size d − 1 and matches nothing
+    rep = check_conjecture_b("cH11", 11, P([2] * 5 + [1]), cache=cache)
+    by_id = {c["id"]: c for c in rep["clauses"]}
+    assert by_id[1]["violations"] == [{"m": "1155", "b": "2025"}]
+
+
 def test_ch11_exclusions(cache):
     with pytest.raises(HypothesisError):
         check_conjecture_b("cH11", 10, P([3, 3, 3, 1]), cache=cache)  # (3^{(d-1)/3},1)
