@@ -1,24 +1,17 @@
 """Exact irreducible characters of the symmetric group.
 
-Two routes evaluate the border-strip (Murnaghan–Nakayama) rule on beta-sets,
-each a bit mask: λ with n parts sets bit λ_i + n − i for each i.
+χ is read from whole columns {λ: χ_λ(μ)} of the character table, each built
+by the border-strip (Murnaghan–Nakayama) rule on beta-sets held as bit
+masks.  λ ⊢ d sits on d beads: part λ_i (i from 1) at bit λ_i + d − i, so
+the zero parts fill the low bits and each λ has one mask.  The column walk
+starts from the empty diagram on d beads and adds μ's parts as border
+strips, smallest first: a bead at p moves to an empty p + r, with the sign
+of the beads strictly between.
 
-- **Entries.**  `chi`, and through it `central_character` and `cache warm`,
-  strip μ's largest parts first from one λ.  A border strip of length r is
-  a set bit p whose bit p − r is clear; removing it flips those two bits,
-  and its height is the number of set bits strictly between them.  The
-  canonical mask shifts out the low run of ones (the zero parts), so each λ
-  has one mask, and the memo is keyed on (mask, remaining suffix of μ).
-- **Columns.**  `character_ratio`, which the ratio sweeps call for every λ
-  of one μ, reads the whole column {λ: χ_λ(μ)} at once.  The column walk
-  starts from the empty diagram on d beads and adds μ's parts as border
-  strips, smallest first: a bead at p moves to an empty p + r, with the
-  sign of the beads strictly between.  Columns are keyed on (d, μ-suffix),
-  hold only nonzero values and key λ by its d-bead mask.
-
-Both memos live on the `CharCache` passed in, in memory only: recomputing
-is faster than loading from disk.  The two routes share no code past the
-bead encoding, so each checks the other.
+`chi` (and through it `central_character` and `cache warm`) and
+`character_ratio` read the same columns, memoized on (d, μ-suffix) in the
+`CharCache` passed in.  The entry recursion, which strips μ's parts from
+one λ, is kept in tests/oracles.py as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -28,32 +21,34 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import CeilingError, ExactnessError, SizeMismatchError
-from .partitions import Partition, dimension
+from .partitions import Partition, dimension, partitions_of
 
 
 class CharCache:
-    """Memos of both χ routes: the entry recursion's values keyed by
-    (beta-set mask, μ-suffix), and the columns keyed by (d, μ-suffix).
+    """The column memo {(d, μ-suffix): {d-bead mask of λ: χ_λ(μ)}}, with the
+    zero values dropped.
 
-    In memory only; `path` is kept for callers that pass it positionally and
-    must be None.  A memo hit always equals recomputation.  `stats()` counts
-    the entry memo only, which `cache warm` fills; columns are not counted.
+    In memory only: recomputing is faster than loading from disk.  `path` is
+    kept for callers that pass it positionally and must be None.  A memo hit
+    always equals recomputation.  `stats()` counts the χ values the memo
+    answers without a walk: p(d) for each whole column (|μ| = d, not a
+    proper suffix), so filling every column of degree m counts p(m)² at m.
+    The degree-0 column is not counted.
     """
 
     def __init__(self, path=None, max_degree: int = 30):
         if path is not None:
             raise ValueError("the character memo is in memory only; path must be None")
         self.max_degree = max_degree
-        self._values: dict[tuple[int, tuple[int, ...]], int] = {}
-        self._columns: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+        self._values: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
 
     def stats(self) -> dict:
         by_degree: dict[int, int] = {}
-        for (_mask, mu) in self._values:
-            d = sum(mu)
-            by_degree[d] = by_degree.get(d, 0) + 1
+        for (d, mu) in self._values:
+            if mu and sum(mu) == d:
+                by_degree[d] = by_degree.get(d, 0) + len(partitions_of(d))
         return {
-            "entries": len(self._values),
+            "entries": sum(by_degree.values()),
             "by_degree": dict(sorted(by_degree.items())),
             "path": None,
             "max_degree": self.max_degree,
@@ -64,40 +59,11 @@ _DEFAULT_CACHE = CharCache()
 
 
 @lru_cache(maxsize=None)
-def _beta_mask(parts: tuple[int, ...]) -> int:
-    n = len(parts)
-    return sum(1 << (part + n - 1 - i) for i, part in enumerate(parts))
-
-
-@lru_cache(maxsize=None)
 def _bead_mask(parts: tuple[int, ...]) -> int:
-    """λ's beta-set on d = |λ| beads: the zero parts fill bits 0..d−len−1."""
-    zeros = sum(parts) - len(parts)
-    return _beta_mask(parts) << zeros | (1 << zeros) - 1
-
-
-def _chi(mask: int, mu: tuple[int, ...], values: dict) -> int:
-    if not mu:
-        return 1
-    key = (mask, mu)
-    hit = values.get(key)
-    if hit is not None:
-        return hit
-    r, rest = mu[0], mu[1:]
-    between = (1 << (r - 1)) - 1
-    heads = (mask & ~(mask << r)) >> r << r  # set bits p ≥ r with bit p − r clear
-    total = 0
-    while heads:
-        top = heads & -heads
-        heads ^= top
-        p = top.bit_length() - 1
-        new = mask ^ top ^ (top >> r)
-        if new & 1:
-            new >>= (~new & (new + 1)).bit_length() - 1
-        term = _chi(new, rest, values)
-        total += -term if ((mask >> (p - r + 1)) & between).bit_count() & 1 else term
-    values[key] = total
-    return total
+    """λ's beta-set on d = |λ| beads."""
+    d = sum(parts)
+    zeros = d - len(parts)
+    return sum(1 << (part + d - 1 - i) for i, part in enumerate(parts)) | (1 << zeros) - 1
 
 
 def _grow(column: dict[int, int], r: int) -> dict[int, int]:
@@ -127,19 +93,19 @@ def _column(d: int, mu: tuple[int, ...], columns: dict) -> dict[int, int]:
     return hit
 
 
-def _checked_cache(lam: Partition, mu: Partition, cache: CharCache | None) -> CharCache:
+def _lookup(lam: Partition, mu: Partition, cache: CharCache | None) -> int:
+    """χ_λ(μ) from μ's column, with size and ceiling checked before any walk."""
     if lam.size != mu.size:
         raise SizeMismatchError(f"|λ|={lam.size} but |μ|={mu.size}")
     cache = cache or _DEFAULT_CACHE
     if lam.size > cache.max_degree:
         raise CeilingError(f"degree {lam.size} exceeds cache ceiling {cache.max_degree}")
-    return cache
+    return _column(lam.size, mu.parts, cache._values).get(_bead_mask(lam.parts), 0)
 
 
 def chi(lam: Partition, mu: Partition, cache: CharCache | None = None) -> int:
-    """Irreducible character value χ_λ(μ) by the entry recursion.  Requires |λ| = |μ|."""
-    cache = _checked_cache(lam, mu, cache)
-    return _chi(_beta_mask(lam.parts), mu.parts, cache._values)
+    """Irreducible character value χ_λ(μ), read from μ's column.  Requires |λ| = |μ|."""
+    return _lookup(lam, mu, cache)
 
 
 def central_character(mu: Partition, lam: Partition, cache: CharCache | None = None) -> int:
@@ -174,6 +140,4 @@ def one_cycle_central_character(r: int, lam: Partition, cache: CharCache | None 
 
 def character_ratio(lam: Partition, mu: Partition, cache: CharCache | None = None) -> Fraction:
     """χ_λ(μ)/dim λ as an exact rational (signed), read from μ's column."""
-    cache = _checked_cache(lam, mu, cache)
-    column = _column(lam.size, mu.parts, cache._columns)
-    return Fraction(column.get(_bead_mask(lam.parts), 0), dimension(lam))
+    return Fraction(_lookup(lam, mu, cache), dimension(lam))

@@ -328,10 +328,13 @@ def check_conjecture_b(
 
     def gap_clause(cid, lo, hi):
         bad = _gap(table, lo, hi)
-        clauses.append({
+        clause = {
             "id": cid, "kind": "gap", "interval": [str(lo), str(hi)],
             "pass": not bad, "violations": bad,
-        })
+        }
+        if lo >= hi:
+            clause["note"] = "empty interval: lower edge ≥ upper edge, nothing checked"
+        clauses.append(clause)
 
     def value_clause(cid, m, expected):
         got = table.coefficient(m)

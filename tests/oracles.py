@@ -12,10 +12,16 @@ The spectrum fold builds a disconnected table straight from the signed
 central-character eigenvalues and the character ratios, in Fractions, so it
 shares neither the weights nor the table fold of the library route.
 
+The entry recursion evaluates χ_λ(μ) one value at a time: it strips μ's
+parts, largest first, as border strips from λ's beta-set, memoized on
+(beta-set mask, μ-suffix).  The library reads χ only from whole columns
+built the other way round (adding μ's parts to the empty diagram, smallest
+first), so the two share no code and each checks the other.
+
 The Fraction scan is the ratio sweeps' λ-scan with every comparison made on
 Fractions, one pair at a time, against which the library's integer
-cross-multiplication is checked.  It reads χ by the entry recursion (`chi`),
-while the sweeps read it from character_ratio's columns.
+cross-multiplication is checked.  It reads χ by the entry recursion, while
+the sweeps read it from character_ratio's columns.
 """
 
 from __future__ import annotations
@@ -23,11 +29,53 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from snhurwitz.characters import CharCache, central_character, character_ratio, chi
-from snhurwitz.errors import SupportError
+from snhurwitz.characters import CharCache, central_character, character_ratio
+from snhurwitz.errors import SizeMismatchError, SupportError
 from snhurwitz.hurwitz import ConnectedComputer
 from snhurwitz.partitions import Partition, dimension, partitions_of
 from snhurwitz.structure import _check_nu, _prefactor, _resolve_parity, _sample_exponents
+
+
+_ENTRY_MEMO: dict[tuple[int, tuple[int, ...]], int] = {}
+
+
+def _beta_mask(parts: tuple[int, ...]) -> int:
+    """λ's beta-set without zero parts: bit λ_i + n − i for each of its n parts."""
+    n = len(parts)
+    return sum(1 << (part + n - 1 - i) for i, part in enumerate(parts))
+
+
+def _entry(mask: int, mu: tuple[int, ...], memo: dict) -> int:
+    if not mu:
+        return 1
+    key = (mask, mu)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    r, rest = mu[0], mu[1:]
+    between = (1 << (r - 1)) - 1
+    heads = (mask & ~(mask << r)) >> r << r  # set bits p ≥ r with bit p − r clear
+    total = 0
+    while heads:
+        top = heads & -heads
+        heads ^= top
+        p = top.bit_length() - 1
+        new = mask ^ top ^ (top >> r)
+        if new & 1:  # shift out the low run of ones (zero parts): one mask per λ
+            new >>= (~new & (new + 1)).bit_length() - 1
+        term = _entry(new, rest, memo)
+        total += -term if ((mask >> (p - r + 1)) & between).bit_count() & 1 else term
+    memo[key] = total
+    return total
+
+
+def chi_entries(lam: Partition, mu: Partition, memo: dict | None = None) -> int:
+    """χ_λ(μ) by the entry recursion: a border strip of length r is a set bit
+    p whose bit p − r is clear; removing it flips the two bits, with the sign
+    of the set bits strictly between.  memo defaults to _ENTRY_MEMO."""
+    if lam.size != mu.size:
+        raise SizeMismatchError(f"|λ|={lam.size} but |μ|={mu.size}")
+    return _entry(_beta_mask(lam.parts), mu.parts, _ENTRY_MEMO if memo is None else memo)
 
 
 @dataclass(frozen=True)
@@ -171,14 +219,14 @@ def spectrum_b_disconnected(
     return {m: b for m, b in sorted(entries.items(), reverse=True) if b}, par, vacuous
 
 
-def scan_fractions(lams: list[Partition], mu: Partition, bound, cache: CharCache | None = None
+def scan_fractions(lams: list[Partition], mu: Partition, bound
                    ) -> tuple[list[tuple[Partition, Fraction]], tuple[Fraction, Partition]]:
     """The (λ, |χ_λ(μ)|/dim λ) pairs with ratio ≥ bound, in lams order, and
     (max ratio, first argmax), each ratio an abs-ed Fraction."""
     at_or_above = []
     best: tuple[Fraction, Partition] | None = None
     for lam in lams:
-        ratio = abs(Fraction(chi(lam, mu, cache), dimension(lam)))
+        ratio = abs(Fraction(chi_entries(lam, mu), dimension(lam)))
         if ratio >= bound:
             at_or_above.append((lam, ratio))
         if best is None or ratio > best[0]:

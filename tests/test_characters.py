@@ -3,6 +3,7 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from oracles import chi_entries
 
 from snhurwitz.characters import (
     CharCache,
@@ -106,7 +107,7 @@ def _beta_partition(mask):
 
 def test_column_orthogonality():
     # columns: Σ_λ χ_λ(μ)χ_λ(ν) = z_μ[μ = ν]; rows: Σ_μ (d!/z_μ)χ_λ(μ)χ_ρ(μ) = d![λ = ρ]
-    memo = CharCache()
+    memo, oracle = CharCache(), {}
     for d in range(1, 13):
         classes = partitions_of(d)
         table = [[chi(lam, mu, memo) for mu in classes] for lam in classes]
@@ -121,9 +122,12 @@ def test_column_orthogonality():
             for b in range(a, len(classes)):
                 s = sum(n * x * y for n, x, y in zip(sizes, table[a], table[b]))
                 assert s == (factorial(d) if a == b else 0), (lam, classes[b])
-    # one memo state per (λ, μ-suffix): no λ is stored under two beta-set masks
-    states = {(_beta_partition(mask), mu) for mask, mu in memo._values}
-    assert len(states) == len(memo._values) == memo.stats()["entries"]
+        entries = [[chi_entries(lam, mu, oracle) for mu in classes] for lam in classes]
+        assert entries == table
+    # one oracle memo state per (λ, μ-suffix): no λ is stored under two
+    # beta-set masks, and the states are the χ values stats() counts
+    states = {(_beta_partition(mask), mu) for mask, mu in oracle}
+    assert len(states) == len(oracle) == memo.stats()["entries"]
 
 
 def test_central_character_examples(cache):
@@ -167,23 +171,52 @@ def test_character_ratio_examples(cache):
 
 
 def test_character_ratio_columns_match_chi_entries():
-    # the column walk behind character_ratio against the entry recursion
-    # behind chi, each on a fresh memo, at every (λ, μ) of degree ≤ 14
+    # chi and character_ratio, each on a fresh cache per degree, against
+    # the entry recursion of tests/oracles.py at every (λ, μ) of degree ≤ 14
     for d in range(15):
-        by_columns, by_entries = CharCache(), CharCache()
+        for_chi, for_ratio, oracle = CharCache(), CharCache(), {}
         classes = partitions_of(d)
         for mu in classes:
             for lam in classes:
-                ratio = character_ratio(lam, mu, by_columns)
-                assert ratio == Fraction(chi(lam, mu, by_entries), dimension(lam)), (lam, mu)
-        assert not by_columns._values
-    assert character_ratio(Partition(), Partition(), CharCache()) == 1
+                expected = chi_entries(lam, mu, oracle)
+                assert chi(lam, mu, for_chi) == expected, (lam, mu)
+                assert character_ratio(lam, mu, for_ratio) == Fraction(expected, dimension(lam)), (lam, mu)
+        assert for_chi._values == for_ratio._values
 
 
 def test_character_ratio_checks_before_building_columns():
-    memo = CharCache(max_degree=5)
-    with pytest.raises(SizeMismatchError):
-        character_ratio(Partition([2, 1]), Partition([2, 2]), memo)
-    with pytest.raises(CeilingError):
-        character_ratio(Partition([6]), Partition([3, 3]), memo)
-    assert not memo._columns
+    calls = (chi, character_ratio, lambda lam, mu, memo: central_character(mu, lam, memo))
+    for call in calls:
+        memo = CharCache(max_degree=5)
+        with pytest.raises(SizeMismatchError):
+            call(Partition([2, 1]), Partition([2, 2]), memo)
+        with pytest.raises(CeilingError):
+            call(Partition([6]), Partition([3, 3]), memo)
+        assert not memo._values
+
+
+def test_stats_counts_whole_columns():
+    # filling every column to degree 8 counts p(m)² at each degree m ≥ 1;
+    # the degree-0 column is not counted
+    memo = CharCache()
+    for m in range(9):
+        classes = partitions_of(m)
+        for mu in classes:
+            for lam in classes:
+                chi(lam, mu, memo)
+    stats = memo.stats()
+    assert stats["by_degree"] == {m: len(partitions_of(m)) ** 2 for m in range(1, 9)}
+    assert stats["entries"] == sum(stats["by_degree"].values())
+    assert (0, ()) in memo._values
+    # one chi call at degree d counts p(d) once, not its suffix columns
+    memo = CharCache()
+    chi(Partition([3, 2, 1]), Partition([2, 2, 1, 1]), memo)
+    assert len(memo._values) == 5
+    assert memo.stats()["by_degree"] == {6: len(partitions_of(6))}
+    chi(Partition([6]), Partition([2, 2, 1, 1]), memo)
+    assert memo.stats()["entries"] == len(partitions_of(6))
+    # the empty partition alone fills only the degree-0 column
+    memo = CharCache()
+    assert chi(Partition(), Partition(), memo) == 1
+    assert character_ratio(Partition(), Partition(), memo) == 1
+    assert memo.stats()["entries"] == 0 and memo.stats()["by_degree"] == {}

@@ -49,7 +49,7 @@ def test_scan_matches_fraction_oracle(cache):
             for lams in (every, inner) if inner else (every,):
                 for bound in bounds:
                     assert _exact(_scan(lams, mu, bound, cache)) == \
-                        _exact(scan_fractions(lams, mu, bound, cache)), (mu, bound)
+                        _exact(scan_fractions(lams, mu, bound)), (mu, bound)
 
 
 def test_scan_edge_cases(cache):
@@ -256,6 +256,11 @@ def test_ch11_gap_clauses_fail_at_d11(cache):
     rep = check_conjecture_b("cH11", 11, P([2] * 5 + [1]), cache=cache)
     by_id = {c["id"]: c for c in rep["clauses"]}
     assert by_id[1]["violations"] == [{"m": "1155", "b": "2025"}]
+    # clause 3 is empty for m_2 ≥ (d−1)(d−2)/(2d): it passes, and says that
+    # nothing was checked
+    assert by_id[3]["interval"] == ["1155", "945"] and by_id[3]["pass"]
+    assert by_id[3]["note"] == "empty interval: lower edge ≥ upper edge, nothing checked"
+    assert "note" not in by_id[1]
 
 
 def test_ch11_exclusions(cache):
