@@ -7,6 +7,7 @@ from .partitions import Partition, parse, partitions_of, splits, dimension
 from .characters import (
     CharCache,
     chi,
+    chi_column,
     central_character,
     character_ratio,
     one_cycle_central_character,

@@ -8,10 +8,13 @@ starts from the empty diagram on d beads and adds μ's parts as border
 strips, smallest first: a bead at p moves to an empty p + r, with the sign
 of the beads strictly between.
 
-`chi` (and through it `central_character` and `cache warm`) and
-`character_ratio` read the same columns, memoized on (d, μ-suffix) in the
-`CharCache` passed in.  The entry recursion, which strips μ's parts from
-one λ, is kept in tests/oracles.py as the independent cross-check.
+`chi`, `chi_column` (behind `cache warm`) and `character_ratio` read the
+same columns, memoized on (d, μ-suffix) in the `CharCache` passed in.
+`central_character` reads a second memo on the same cache: columns of
+class-sum eigenvalues {λ: f_μ(λ)}, each built once per μ from μ's χ column
+with the integrality of every value checked as it is built.  The entry
+recursion, which strips μ's parts from one λ, is kept in tests/oracles.py
+as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -21,19 +24,20 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import CeilingError, ExactnessError, SizeMismatchError
-from .partitions import Partition, dimension, partitions_of
+from .partitions import Partition, _dimension, _partition_tuples, dimension
 
 
 class CharCache:
-    """The column memo {(d, μ-suffix): {d-bead mask of λ: χ_λ(μ)}}, with the
-    zero values dropped.
+    """Two column memos, with the zero values dropped: χ columns
+    {(d, μ-suffix): {d-bead mask of λ: χ_λ(μ)}} in `_values`, and central
+    columns {μ parts: {d-bead mask of λ: f_μ(λ)}} in `_central`.
 
     In memory only: recomputing is faster than loading from disk.  `path` is
     kept for callers that pass it positionally and must be None.  A memo hit
-    always equals recomputation.  `stats()` counts the χ values the memo
+    always equals recomputation.  `stats()` counts the χ values the χ memo
     answers without a walk: p(d) for each whole column (|μ| = d, not a
     proper suffix), so filling every column of degree m counts p(m)² at m.
-    The degree-0 column is not counted.
+    The degree-0 column and the central columns are not counted.
     """
 
     def __init__(self, path=None, max_degree: int = 30):
@@ -41,12 +45,13 @@ class CharCache:
             raise ValueError("the character memo is in memory only; path must be None")
         self.max_degree = max_degree
         self._values: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+        self._central: dict[tuple[int, ...], dict[int, int]] = {}
 
     def stats(self) -> dict:
         by_degree: dict[int, int] = {}
         for (d, mu) in self._values:
             if mu and sum(mu) == d:
-                by_degree[d] = by_degree.get(d, 0) + len(partitions_of(d))
+                by_degree[d] = by_degree.get(d, 0) + len(_partition_tuples(d, d))
         return {
             "entries": sum(by_degree.values()),
             "by_degree": dict(sorted(by_degree.items())),
@@ -93,6 +98,14 @@ def _column(d: int, mu: tuple[int, ...], columns: dict) -> dict[int, int]:
     return hit
 
 
+def _checked(d: int, cache: CharCache | None) -> CharCache:
+    """The cache to read, once degree d is known to be within its ceiling."""
+    cache = cache or _DEFAULT_CACHE
+    if d > cache.max_degree:
+        raise CeilingError(f"degree {d} exceeds cache ceiling {cache.max_degree}")
+    return cache
+
+
 def _lookup(lam: Partition, mu: Partition, cache: CharCache | None) -> int:
     """χ_λ(μ) from μ's column, with size and ceiling checked before any walk."""
     if lam.size != mu.size:
@@ -108,19 +121,47 @@ def chi(lam: Partition, mu: Partition, cache: CharCache | None = None) -> int:
     return _lookup(lam, mu, cache)
 
 
+def chi_column(mu: Partition, cache: CharCache | None = None) -> tuple[int, ...]:
+    """The character-table column (χ_λ(μ) for λ in partitions_of(|μ|)), in
+    that order, from one walk."""
+    d = mu.size
+    column = _column(d, mu.parts, _checked(d, cache)._values)
+    return tuple(column.get(_bead_mask(lam), 0) for lam in _partition_tuples(d, d))
+
+
+def _central_column(mu: tuple[int, ...], cache: CharCache) -> dict[int, int]:
+    """{d-bead mask of λ: f_μ(λ)} over the λ ⊢ |μ| with f_μ(λ) ≠ 0, from μ's
+    χ column; every value is checked to be an integer."""
+    hit = cache._central.get(mu)
+    if hit is None:
+        d = sum(mu)
+        chis = _column(d, mu, cache._values)
+        scale = factorial(d) // Partition(mu).centralizer_order()  # the class size
+        hit = {}
+        for lam in _partition_tuples(d, d):
+            mask = _bead_mask(lam)
+            value = chis.get(mask)
+            if value:
+                f, rem = divmod(scale * value, _dimension(lam))
+                if rem:
+                    raise ExactnessError(
+                        f"central character not integral for mu={Partition(mu)}, lam={Partition(lam)}")
+                hit[mask] = f
+        cache._central[mu] = hit
+    return hit
+
+
 def central_character(mu: Partition, lam: Partition, cache: CharCache | None = None) -> int:
-    """(d!/z_μ) · χ_λ(μ)/dim λ, the class-sum eigenvalue on the λ-irreducible.
+    """(d!/z_μ) · χ_λ(μ)/dim λ, the class-sum eigenvalue on the λ-irreducible,
+    read from μ's central column.
 
     Always an integer; a non-exact division signals a character bug and
-    raises ExactnessError.
+    raises ExactnessError when the column is built.
     """
-    value = chi(lam, mu, cache)
-    d = lam.size
-    num = factorial(d) * value
-    den = mu.centralizer_order() * dimension(lam)
-    if num % den:
-        raise ExactnessError(f"central character not integral for mu={mu}, lam={lam}")
-    return num // den
+    if lam.size != mu.size:
+        raise SizeMismatchError(f"|λ|={lam.size} but |μ|={mu.size}")
+    column = _central_column(mu.parts, _checked(lam.size, cache))
+    return column.get(_bead_mask(lam.parts), 0)
 
 
 def one_cycle_central_character(r: int, lam: Partition, cache: CharCache | None = None) -> int:

@@ -209,10 +209,8 @@ def _cmd_cache(args, cache) -> int:
     if not 1 <= args.d <= cache.max_degree:
         raise SnHurwitzError(f"cache warm needs 1 ≤ d ≤ {cache.max_degree}, got {args.d}")
     for d in range(1, args.d + 1):
-        classes = partitions_of(d)
-        for lam in classes:
-            for mu in classes:
-                characters.chi(lam, mu, cache)
+        for mu in partitions_of(d):
+            characters.chi_column(mu, cache)
     _emit(args, {"command": "cache", "action": "warm", "d": args.d, **cache.stats()})
     return 0
 

@@ -231,6 +231,7 @@ def _start(d: int, h: int, track_orbits: bool) -> tuple[tuple[tuple, int], ...]:
     return tuple(out.items())
 
 
+@lru_cache(maxsize=None)
 def _orbit_count(d: int, track_orbits: bool) -> int:
     """Orbits of states: multisets of (block, cycle type on it) filling d
     sheets; untracked, the cycle types of S(d)."""
@@ -343,6 +344,12 @@ class NuSplitAlgebra:
         return self.types[tidx] + (1,) * (delta - self.tsum[tidx])
 
 
+@lru_cache(maxsize=None)
+def _part_splits(omega: tuple[int, ...], delta1: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """`splits` of the partition with the given parts, as part tuples."""
+    return tuple((w1.parts, w2.parts) for w1, w2 in splits(Partition(omega), delta1))
+
+
 def mu_splits(delta1: int, omegas: tuple):
     """Yield (omegas1, omegas2) over exact multiset splits of each fixed profile,
     the first of each pair partitioning delta1."""
@@ -351,14 +358,20 @@ def mu_splits(delta1: int, omegas: tuple):
         if i == len(omegas):
             yield tuple(acc1), tuple(acc2)
             return
-        for w1, w2 in splits(Partition(omegas[i]), delta1):
-            acc1.append(w1.parts)
-            acc2.append(w2.parts)
+        for w1, w2 in _part_splits(omegas[i], delta1):
+            acc1.append(w1)
+            acc2.append(w2)
             yield from go(i + 1, acc1, acc2)
             acc1.pop()
             acc2.pop()
 
     yield from go(0, [], [])
+
+
+@lru_cache(maxsize=None)
+def _profile(parts: tuple[int, ...]) -> Partition:
+    """The partition with the given parts, built once per process."""
+    return Partition(parts)
 
 
 class ConnectedComputer:
@@ -408,7 +421,7 @@ class ConnectedComputer:
         key = (profile, lam.parts)
         hit = self._fvals.get(key)
         if hit is None:
-            hit = central_character(Partition(profile), lam, self.cache)
+            hit = central_character(_profile(profile), lam, self.cache)
             self._fvals[key] = hit
         return hit
 

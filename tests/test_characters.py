@@ -7,12 +7,14 @@ from oracles import chi_entries
 
 from snhurwitz.characters import (
     CharCache,
+    _bead_mask,
     central_character,
     character_ratio,
     chi,
+    chi_column,
     one_cycle_central_character,
 )
-from snhurwitz.errors import CeilingError, SizeMismatchError
+from snhurwitz.errors import CeilingError, ExactnessError, SizeMismatchError
 from snhurwitz.partitions import Partition, dimension, partitions_of
 
 
@@ -149,6 +151,32 @@ def test_central_character_integrality(cache):
                 central_character(mu, lam, cache)  # raises ExactnessError on failure
 
 
+def test_central_columns_match_chi_entries():
+    # every class-sum eigenvalue of degree ≤ 10, on a fresh cache, against
+    # d!·χ_λ(μ)/(z_μ·dim λ) from the entry recursion of tests/oracles.py
+    memo, oracle = CharCache(), {}
+    for d in range(11):
+        classes = partitions_of(d)
+        for mu in classes:
+            for lam in classes:
+                expected = Fraction(factorial(d) * chi_entries(lam, mu, oracle),
+                                    mu.centralizer_order() * dimension(lam))
+                assert central_character(mu, lam, memo) == expected, (mu, lam)
+    # one central column per μ, each holding only the nonzero values
+    assert len(memo._central) == sum(len(partitions_of(d)) for d in range(11))
+    assert all(0 not in column.values() for column in memo._central.values())
+
+
+def test_non_integral_central_column_raises():
+    # a χ column with χ_{(2,1)}(1³) = 1 gives f = 3!·1/(3!·2), not an integer
+    memo = CharCache()
+    lam, mu = Partition([2, 1]), Partition([1, 1, 1])
+    memo._values[(3, mu.parts)] = {_bead_mask(lam.parts): 1}
+    with pytest.raises(ExactnessError, match=r"mu=1,1,1, lam=2,1"):
+        central_character(mu, lam, memo)
+    assert not memo._central
+
+
 def test_one_cycle_normalization(cache):
     # marked-cycle form agrees with the plain central character for r >= 2
     for d in (4, 6):
@@ -174,14 +202,17 @@ def test_character_ratio_columns_match_chi_entries():
     # chi and character_ratio, each on a fresh cache per degree, against
     # the entry recursion of tests/oracles.py at every (λ, μ) of degree ≤ 14
     for d in range(15):
-        for_chi, for_ratio, oracle = CharCache(), CharCache(), {}
+        for_chi, for_ratio, for_column, oracle = CharCache(), CharCache(), CharCache(), {}
         classes = partitions_of(d)
         for mu in classes:
+            column = []
             for lam in classes:
                 expected = chi_entries(lam, mu, oracle)
+                column.append(expected)
                 assert chi(lam, mu, for_chi) == expected, (lam, mu)
                 assert character_ratio(lam, mu, for_ratio) == Fraction(expected, dimension(lam)), (lam, mu)
-        assert for_chi._values == for_ratio._values
+            assert chi_column(mu, for_column) == tuple(column), mu
+        assert for_chi._values == for_ratio._values == for_column._values
 
 
 def test_character_ratio_checks_before_building_columns():
@@ -192,7 +223,11 @@ def test_character_ratio_checks_before_building_columns():
             call(Partition([2, 1]), Partition([2, 2]), memo)
         with pytest.raises(CeilingError):
             call(Partition([6]), Partition([3, 3]), memo)
-        assert not memo._values
+        assert not memo._values and not memo._central
+    memo = CharCache(max_degree=5)
+    with pytest.raises(CeilingError):
+        chi_column(Partition([3, 3]), memo)
+    assert not memo._values and not memo._central
 
 
 def test_stats_counts_whole_columns():

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import factorial, prod
@@ -7,6 +8,7 @@ from math import factorial, prod
 import pytest
 
 from snhurwitz import hurwitz
+from snhurwitz.characters import CharCache
 from snhurwitz.errors import BudgetError, GenusError, SizeMismatchError
 from snhurwitz.hurwitz import (
     ConnectedComputer,
@@ -258,6 +260,39 @@ def test_disconnected_evaluates_each_distinct_profile_once(cache, monkeypatch):
         value = disconnected(spec, cache)
         assert len(calls) == 2 * len(partitions_of(d))
         assert value == brute_force_disconnected(spec)
+
+
+def test_computers_share_central_columns(monkeypatch):
+    # the benchmark's tracing wraps hurwitz.central_character: each computer
+    # calls it once per distinct (profile, λ), and a second computer over the
+    # same ν on the same cache reads the central columns the first one built
+    calls = Counter()
+
+    def counting(theta, lam, cache=None):
+        calls[theta.parts, lam.parts] += 1
+        return central(theta, lam, cache)
+
+    central = hurwitz.central_character
+    monkeypatch.setattr(hurwitz, "central_character", counting)
+    memo = CharCache()
+    nu, mus = P([2, 2, 1, 1]), (P([3, 1, 1, 1]),)
+    columns = []
+    for h in (0, 1):
+        calls.clear()
+        comp = ConnectedComputer(h, 6, mus, nu, memo)
+        for k in range(5):
+            comp.value(k)
+        comp.tc_table(6, tuple(m.parts for m in mus))
+        assert calls and set(calls.values()) == {1}
+        columns.append(dict(memo._central))
+    assert columns[1] == columns[0]
+
+
+def test_import_fills_no_character_memo():
+    code = ("import snhurwitz; from snhurwitz import characters as c; "
+            "print(len(c._DEFAULT_CACHE._values), len(c._DEFAULT_CACHE._central))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_repeated_spec_genus_conversion():
