@@ -23,12 +23,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, factorial
 
 from .characters import CharCache, central_character
 from .errors import BudgetError, ExactnessError, GenusError, SizeMismatchError
-from .partitions import Partition, dimension, partitions_of, splits
+from .partitions import Partition, dimension, partitions_of, sub_multisets
 
 #: transitions the permutation-level oracles may count for one spec
 DEFAULT_BF_BUDGET = 4_000_000
@@ -255,10 +255,12 @@ def _count_tuples(spec: CoverSpec, budget: int, track_orbits: bool) -> Fraction:
     # each class's transitions are counted once per orbit; each point then
     # moves every orbit's mass to at most min(|class|, orbits) targets
     orbits = _orbit_count(d, track_orbits)
-    sizes = {p.parts: factorial(d) // p.centralizer_order() for p in spec.profiles}
-    ops = orbits * (sum(sizes.values()) + sum(min(sizes[p.parts], orbits) for p in spec.profiles))
+    ops = 0
+    for theta, n in Counter(spec.profiles).items():
+        size = factorial(d) // theta.centralizer_order()
+        ops += orbits * (size + n * min(size, orbits))
     if spec.h:
-        ops += len(partitions_of(d)) * factorial(d)
+        ops += _orbit_count(d, False) * factorial(d)
     if ops > budget:
         raise BudgetError(f"estimated {ops} transitions exceed the budget {budget}")
     dist = dict(_start(d, spec.h, track_orbits))
@@ -290,42 +292,27 @@ def brute_force_connected(spec: CoverSpec, budget: int = DEFAULT_BF_BUDGET) -> F
 # ---------------------------------------------------------------------------
 
 
-def _sub_multisets(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    values = sorted(set(parts), reverse=True)
-    out: list[tuple[int, ...]] = [()]
-    for v in values:
-        m = parts.count(v)
-        out = [s + (v,) * take for s in out for take in range(m + 1)]
-    return sorted({tuple(sorted(s, reverse=True)) for s in out}, reverse=True)
-
-
 class NuSplitAlgebra:
     """How a single repeated profile ν distributes over cover components.
 
     When a cover splits, every ν-point hands each component a sub-multiset of
     ν's non-unit parts, and unit parts pad each component up to its degree.
-    The possible hand-offs are indexed here once per ν: `types` lists the
-    sub-multisets, `choices[a]` the (taken, left-behind) index pairs of a
-    two-way split, `fitting` keeps the pairs two given degrees can absorb,
-    and `point_profile` rebuilds the actual partition a point shows to a
+    The possible hand-offs are indexed here once per ν, all read from
+    `sub_multisets`: `types` lists the sub-multisets, `choices[a]` the
+    (taken, left-behind) index pairs of a two-way split of type a,
+    `fitting` keeps the pairs two given degrees can absorb, and
+    `point_profile` rebuilds the actual partition a point shows to a
     component of a given degree.
     """
 
     def __init__(self, nu: Partition):
         big = tuple(v for v in nu.parts if v >= 2)
-        self.types = _sub_multisets(big)
+        self.types = [taken for taken, _ in sub_multisets(big)]
         self.tindex = {t: i for i, t in enumerate(self.types)}
         self.tsum = [sum(t) for t in self.types]
         self.full = self.tindex[big]
-        self.choices: list[list[tuple[int, int]]] = []
-        for a in self.types:
-            opts = []
-            for b in _sub_multisets(a):
-                rest = list(a)
-                for v in b:
-                    rest.remove(v)
-                opts.append((self.tindex[b], self.tindex[tuple(rest)]))
-            self.choices.append(opts)
+        self.choices = [[(self.tindex[taken], self.tindex[rest]) for taken, rest in sub_multisets(a)]
+                        for a in self.types]
         self._fitting: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}
 
     def fitting(self, d1: int, d2: int) -> list[list[tuple[int, int]]]:
@@ -344,28 +331,22 @@ class NuSplitAlgebra:
         return self.types[tidx] + (1,) * (delta - self.tsum[tidx])
 
 
-@lru_cache(maxsize=None)
-def _part_splits(omega: tuple[int, ...], delta1: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """`splits` of the partition with the given parts, as part tuples."""
-    return tuple((w1.parts, w2.parts) for w1, w2 in splits(Partition(omega), delta1))
-
-
 def mu_splits(delta1: int, omegas: tuple):
     """Yield (omegas1, omegas2) over exact multiset splits of each fixed profile,
     the first of each pair partitioning delta1."""
+    per_profile = [[pair for pair in sub_multisets(om) if sum(pair[0]) == delta1] for om in omegas]
+    for pairs in product(*per_profile):
+        yield tuple(w1 for w1, _ in pairs), tuple(w2 for _, w2 in pairs)
 
-    def go(i: int, acc1: list, acc2: list):
-        if i == len(omegas):
-            yield tuple(acc1), tuple(acc2)
-            return
-        for w1, w2 in _part_splits(omegas[i], delta1):
-            acc1.append(w1)
-            acc2.append(w2)
-            yield from go(i + 1, acc1, acc2)
-            acc1.pop()
-            acc2.pop()
 
-    yield from go(0, [], [])
+@lru_cache(maxsize=None)
+def _placements(n: int, slots: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(takes, n!/∏ takes!) over the ways to place n labelled points in the
+    given number of slots, takes[j] of them in slot j; none without slots."""
+    if slots <= 1:
+        return (((n,), 1),) if slots else ()
+    return tuple(((take,) + rest, comb(n, take) * ways)
+                 for take in range(n + 1) for rest, ways in _placements(n - take, slots - 1))
 
 
 @lru_cache(maxsize=None)
@@ -454,40 +435,22 @@ class ConnectedComputer:
         return value
 
     def _point_splits(self, delta1: int, delta2: int, counts: tuple[int, ...]):
-        """Yield (counts1, counts2, ways) over per-point sub-profile choices."""
-        active = [(t, n) for t, n in enumerate(counts) if n]
+        """Yield (counts1, counts2, ways) over per-point sub-profile choices:
+        each type's points are placed among the splits that fit, and ways
+        counts the labelled placements."""
         fitting = self.algebra.fitting(delta1, delta2)
-
-        def go(i: int, c1: list[int], c2: list[int], ways: int):
-            if i == len(active):
-                yield tuple(c1), tuple(c2), ways
-                return
-            tidx, n = active[i]
-            valid = fitting[tidx]
-            if not valid:
-                return
-
-            def distribute(j: int, remaining: int, w: int):
-                if j == len(valid) - 1:
-                    b, rest = valid[j]
-                    c1[b] += remaining
-                    c2[rest] += remaining
-                    yield from go(i + 1, c1, c2, ways * w)
-                    c1[b] -= remaining
-                    c2[rest] -= remaining
-                    return
-                b, rest = valid[j]
-                for take in range(remaining + 1):
+        active = [fitting[t] for t, n in enumerate(counts) if n]
+        places = [_placements(n, len(fitting[t])) for t, n in enumerate(counts) if n]
+        for choice in product(*places):
+            c1 = [0] * len(counts)
+            c2 = [0] * len(counts)
+            ways = 1
+            for valid, (takes, w) in zip(active, choice):
+                ways *= w
+                for (b, rest), take in zip(valid, takes):
                     c1[b] += take
                     c2[rest] += take
-                    yield from distribute(j + 1, remaining - take, w * comb(remaining, take))
-                    c1[b] -= take
-                    c2[rest] -= take
-
-            yield from distribute(0, n, 1)
-
-        zero = [0] * len(self.algebra.types)
-        yield from go(0, list(zero), list(zero), 1)
+            yield tuple(c1), tuple(c2), ways
 
     def _tuples_transitive(self, delta: int, counts: tuple[int, ...], omegas: tuple) -> int:
         key = (delta, counts, omegas)

@@ -166,38 +166,33 @@ def partitions_of(d: int, ceiling: int = DEFAULT_ENUMERATION_CEILING) -> list[Pa
     return [Partition(t) for t in _partition_tuples(d, d if d else 1)]
 
 
+@lru_cache(maxsize=None)
+def sub_multisets(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Every (taken, rest) split of a weakly decreasing part tuple's multiset.
+
+    Each distinct sub-multiset is taken once, in decreasing lexicographic
+    order: for each distinct part, largest first, t copies are taken for
+    t from its multiplicity down to 0.
+    """
+    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
+    for v in sorted(set(parts), reverse=True):
+        m = parts.count(v)
+        out = [(taken + (v,) * t, rest + (v,) * (m - t))
+               for taken, rest in out for t in range(m, -1, -1)]
+    return tuple(out)
+
+
 def splits(theta: Partition, d1: int) -> list[tuple[Partition, Partition]]:
     """All ways to split the part multiset of theta into (ω ⊢ d1, σ ⊢ |θ|−d1).
 
-    Each distinct sub-multiset ω appears exactly once, paired with its
-    complement.  The result may be empty.
+    The `sub_multisets` of θ's parts that sum to d1, in the same order:
+    each distinct ω once, paired with its complement.  The result may be
+    empty.
     """
     if not 1 <= d1 < theta.size:
         raise ValueError(f"d1 must satisfy 1 <= d1 < {theta.size}, got {d1}")
-    values = sorted(set(theta.parts), reverse=True)
-    mults = [theta.multiplicity(v) for v in values]
-    out: list[tuple[Partition, Partition]] = []
-
-    def go(idx: int, remaining: int, chosen: list[int]):
-        if remaining == 0:
-            omega = [v for v, take in zip(values, chosen) for _ in range(take)]
-            sigma = [
-                v
-                for v, take, m in zip(values, chosen, mults)
-                for _ in range(m - take)
-            ]
-            sigma += [v for v, m in zip(values[idx:], mults[idx:]) for _ in range(m)]
-            out.append((Partition(omega), Partition(sigma)))
-            return
-        if idx == len(values):
-            return
-        v, m = values[idx], mults[idx]
-        for take in range(min(m, remaining // v), -1, -1):
-            go(idx + 1, remaining - take * v, chosen + [take])
-
-    go(0, d1, [])
-    out.sort(key=lambda pair: pair[0].parts, reverse=True)
-    return out
+    return [(Partition(taken), Partition(rest))
+            for taken, rest in sub_multisets(theta.parts) if sum(taken) == d1]
 
 
 @lru_cache(maxsize=None)

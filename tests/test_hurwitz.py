@@ -2,8 +2,8 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
-from math import factorial, prod
+from itertools import combinations, combinations_with_replacement, permutations, product
+from math import comb, factorial, prod
 
 import pytest
 
@@ -13,11 +13,13 @@ from snhurwitz.errors import BudgetError, GenusError, SizeMismatchError
 from snhurwitz.hurwitz import (
     ConnectedComputer,
     CoverSpec,
+    NuSplitAlgebra,
     RepeatedSpec,
     _classes,
     _join,
     _orbit_count,
     _orbit_key,
+    _placements,
     _representative,
     brute_force_connected,
     brute_force_disconnected,
@@ -372,6 +374,38 @@ def test_computer_memo_is_shared_across_repeat_counts(cache):
         assert values[k] == brute_force_connected(spec.cover_spec())
     for k in (1, 3, 5):
         assert values[k] == 0
+
+
+def test_nu_split_algebra_indexes_taken_then_left_behind():
+    alg = NuSplitAlgebra(P([2, 2, 1]))
+    assert alg.types == [(2, 2), (2,), ()] and alg.full == 0
+    assert alg.choices == [[(0, 2), (1, 1), (2, 0)], [(1, 2), (2, 1)], [(2, 2)]]
+    for nu in [P([3, 2, 2, 1]), P([4, 3, 3, 2, 2, 2]), P([2] * 4)]:
+        alg = NuSplitAlgebra(nu)
+        big = tuple(v for v in nu.parts if v >= 2)
+        subs = {c for r in range(len(big) + 1) for c in combinations(big, r)}
+        assert alg.types == sorted(subs, reverse=True)
+        assert alg.types[alg.full] == big
+        for a, opts in enumerate(alg.choices):
+            # every distinct sub-multiset once, taken first, in type order
+            assert [b for b, _ in opts] == sorted({alg.tindex[c] for r in range(len(alg.types[a]) + 1)
+                                                   for c in combinations(alg.types[a], r)})
+            for b, rest in opts:
+                assert sorted(alg.types[b] + alg.types[rest], reverse=True) == list(alg.types[a])
+
+
+def test_placements_enumerate_labelled_point_placements():
+    for n in range(7):
+        for slots in range(1, 5):
+            places = _placements(n, slots)
+            takes = [t for t, _ in places]
+            assert all(len(t) == slots and sum(t) == n for t in takes)
+            assert len(set(takes)) == len(takes) == comb(n + slots - 1, slots - 1)
+            # each takes vector is hit by n!/∏ takes! of the slots^n labellings
+            assert sum(w for _, w in places) == slots**n
+            assert all(w == factorial(n) // prod(factorial(t) for t in ts) for ts, w in places)
+        if n:
+            assert _placements(n, 0) == ()
 
 
 def test_tuples_all_equals_scaled_character_sum(cache):

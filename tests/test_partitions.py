@@ -1,10 +1,10 @@
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from snhurwitz.errors import CeilingError, PartitionParseError
-from snhurwitz.partitions import Partition, dimension, parse, partitions_of, splits
+from snhurwitz.partitions import Partition, dimension, parse, partitions_of, splits, sub_multisets
 
 
 def partition_strategy(max_n=10):
@@ -93,6 +93,20 @@ def test_splits_are_exact_multiset_splits():
             # distinct sub-multisets appear exactly once
             seen = [w.parts for w, _ in splits(theta, d1)]
             assert len(seen) == len(set(seen))
+    for d in range(9):
+        for theta in partitions_of(d):
+            pairs = sub_multisets(theta.parts)
+            for taken, rest in pairs:
+                assert sorted(taken + rest, reverse=True) == list(theta.parts)
+                assert list(taken) == sorted(taken, reverse=True)
+                assert list(rest) == sorted(rest, reverse=True)
+            takens = [taken for taken, _ in pairs]
+            # distinct and strictly decreasing, so no sub-multiset repeats
+            assert all(a > b for a, b in zip(takens, takens[1:]))
+            assert len(pairs) == prod(theta.multiplicity(v) + 1 for v in set(theta.parts))
+            for d1 in range(1, d):
+                assert splits(theta, d1) == [(Partition(taken), Partition(rest))
+                                             for taken, rest in pairs if sum(taken) == d1]
 
 
 def _standard_tableaux_count(parts):
