@@ -3,7 +3,7 @@ characters, Hurwitz numbers of arbitrary target genus, and the structure
 coefficients of their repeat-count expansions, with exhaustive desk-scale
 verification sweeps for the associated character-ratio bounds."""
 
-from .partitions import Partition, parse, partitions_of, splits, dimension
+from .partitions import Partition, parse, partitions_of, dimension
 from .characters import (
     CharCache,
     chi,

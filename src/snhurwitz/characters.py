@@ -10,9 +10,10 @@ of the beads strictly between.
 
 `chi`, `chi_column` (behind `cache warm`) and `character_ratio` read the
 same columns, memoized on (d, μ-suffix) in the `CharCache` passed in.
-`central_character` reads a second memo on the same cache: columns of
-class-sum eigenvalues {λ: f_μ(λ)}, each built once per μ from μ's χ column
-with the integrality of every value checked as it is built.  The entry
+`central_column` keeps a second memo on the same cache: columns of
+class-sum eigenvalues {λ parts: f_μ(λ)}, each built once per μ from μ's χ
+column with every value checked to be an integer; `central_character` and
+`hurwitz` read every f there.  The entry
 recursion, which strips μ's parts from one λ, is kept in tests/oracles.py
 as the independent cross-check.
 """
@@ -30,7 +31,7 @@ from .partitions import Partition, _dimension, _partition_tuples, dimension
 class CharCache:
     """Two column memos, with the zero values dropped: χ columns
     {(d, μ-suffix): {d-bead mask of λ: χ_λ(μ)}} in `_values`, and central
-    columns {μ parts: {d-bead mask of λ: f_μ(λ)}} in `_central`.
+    columns {μ parts: {λ parts: f_μ(λ)}} in `_central`.
 
     In memory only: recomputing is faster than loading from disk.  `path` is
     kept for callers that pass it positionally and must be None.  A memo hit
@@ -129,24 +130,24 @@ def chi_column(mu: Partition, cache: CharCache | None = None) -> tuple[int, ...]
     return tuple(column.get(_bead_mask(lam), 0) for lam in _partition_tuples(d, d))
 
 
-def _central_column(mu: tuple[int, ...], cache: CharCache) -> dict[int, int]:
-    """{d-bead mask of λ: f_μ(λ)} over the λ ⊢ |μ| with f_μ(λ) ≠ 0, from μ's
-    χ column; every value is checked to be an integer."""
+def central_column(mu: tuple[int, ...], cache: CharCache | None = None) -> dict[tuple[int, ...], int]:
+    """{λ parts: f_μ(λ)} over the λ ⊢ |μ| with f_μ(λ) ≠ 0, built once per
+    cache from μ's χ column with every value checked to be an integer."""
+    d = sum(mu)
+    cache = _checked(d, cache)
     hit = cache._central.get(mu)
     if hit is None:
-        d = sum(mu)
         chis = _column(d, mu, cache._values)
         scale = factorial(d) // Partition(mu).centralizer_order()  # the class size
         hit = {}
         for lam in _partition_tuples(d, d):
-            mask = _bead_mask(lam)
-            value = chis.get(mask)
+            value = chis.get(_bead_mask(lam))
             if value:
                 f, rem = divmod(scale * value, _dimension(lam))
                 if rem:
                     raise ExactnessError(
                         f"central character not integral for mu={Partition(mu)}, lam={Partition(lam)}")
-                hit[mask] = f
+                hit[lam] = f
         cache._central[mu] = hit
     return hit
 
@@ -160,8 +161,7 @@ def central_character(mu: Partition, lam: Partition, cache: CharCache | None = N
     """
     if lam.size != mu.size:
         raise SizeMismatchError(f"|λ|={lam.size} but |μ|={mu.size}")
-    column = _central_column(mu.parts, _checked(lam.size, cache))
-    return column.get(_bead_mask(lam.parts), 0)
+    return central_column(mu.parts, cache).get(lam.parts, 0)
 
 
 def one_cycle_central_character(r: int, lam: Partition, cache: CharCache | None = None) -> int:

@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import comb, factorial
 
-from .characters import CharCache, central_character
+from .characters import CharCache, central_character, central_column
 from .errors import BudgetError, ExactnessError, GenusError, SizeMismatchError
 from .partitions import Partition, dimension, partitions_of, sub_multisets
 
@@ -349,12 +349,6 @@ def _placements(n: int, slots: int) -> tuple[tuple[tuple[int, ...], int], ...]:
                  for take in range(n + 1) for rest, ways in _placements(n - take, slots - 1))
 
 
-@lru_cache(maxsize=None)
-def _profile(parts: tuple[int, ...]) -> Partition:
-    """The partition with the given parts, built once per process."""
-    return Partition(parts)
-
-
 class ConnectedComputer:
     """Connected Hurwitz numbers for one (h, d, μ's, ν) family, in two forms.
 
@@ -375,6 +369,10 @@ class ConnectedComputer:
     (`eig`), and a table maps eigenfunctions to exact coefficients.  Two
     pieces' eigenfunctions combine by `convolve` over the hand-off splits.
 
+    Both forms read every eigenvalue from the cache's central columns
+    (`characters.central_column`); the per-point factors come from `eig`,
+    one vector per (δ, λ) that both forms share.
+
     All arithmetic is on integers: a δ-sheet piece sums the character-sum
     weights of `weights(h, δ)`, δ!² times (dim λ/δ!)^{2−2h}.  The count form
     divides by δ! once per piece; the table form keeps the factor, which
@@ -390,29 +388,19 @@ class ConnectedComputer:
         self.mus = tuple(mus)
         self.cache = cache
         self.algebra = NuSplitAlgebra(nu)
-        self._fvals: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         self._memo_t: dict = {}
         self._memo_tc: dict = {}
         self._eigs: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
         self._t: dict = {}
         self._tc: dict = {}
 
-    def f(self, profile: tuple[int, ...], lam: Partition) -> int:
-        """Memoized central character of the class with the given parts on λ."""
-        key = (profile, lam.parts)
-        hit = self._fvals.get(key)
-        if hit is None:
-            hit = central_character(_profile(profile), lam, self.cache)
-            self._fvals[key] = hit
-        return hit
-
     def terms(self, delta: int, omegas: tuple):
-        """Yield (λ, weight·∏_ω f(ω, λ)) over λ ⊢ δ with a nonzero term: the
+        """Yield (λ, weight·∏_ω f_ω(λ)) over λ ⊢ δ with a nonzero term: the
         character sum of a δ-sheet piece before any ν-point."""
-        f = self.f
+        columns = [central_column(om, self.cache) for om in omegas]
         for lam, coeff in weights(self.h, delta):
-            for om in omegas:
-                coeff *= f(om, lam)
+            for column in columns:
+                coeff *= column.get(lam.parts, 0)
             if coeff:
                 yield lam, coeff
 
@@ -424,9 +412,10 @@ class ConnectedComputer:
             return hit
         total = 0
         for lam, term in self.terms(delta, omegas):
+            e = self.eig(delta, lam)
             for tidx, n in enumerate(counts):
                 if n:
-                    term *= self.f(self.algebra.point_profile(tidx, delta), lam) ** n
+                    term *= e[tidx] ** n
             total += term
         value, rem = divmod(total, factorial(delta))
         if rem:
@@ -485,9 +474,10 @@ class ConnectedComputer:
         key = (delta, lam.parts)
         hit = self._eigs.get(key)
         if hit is None:
-            alg, f = self.algebra, self.f
+            alg, cache = self.algebra, self.cache
             hit = tuple(
-                f(alg.point_profile(t, delta), lam) if alg.tsum[t] <= delta else 0
+                central_column(alg.point_profile(t, delta), cache).get(lam.parts, 0)
+                if alg.tsum[t] <= delta else 0
                 for t in range(len(alg.types))
             )
             self._eigs[key] = hit

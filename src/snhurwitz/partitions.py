@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
+from operator import index
 from typing import Iterable, Iterator
 
 from .errors import CeilingError, ExactnessError, PartitionParseError
@@ -23,7 +24,7 @@ class Partition:
     __slots__ = ("_parts", "_size")
 
     def __init__(self, parts: Iterable[int] = ()):
-        p = tuple(sorted((int(v) for v in parts), reverse=True))
+        p = tuple(sorted(map(index, parts), reverse=True))
         for v in p:
             if v <= 0:
                 raise ValueError(f"partition parts must be positive, got {v}")
@@ -180,19 +181,6 @@ def sub_multisets(parts: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[
         out = [(taken + (v,) * t, rest + (v,) * (m - t))
                for taken, rest in out for t in range(m, -1, -1)]
     return tuple(out)
-
-
-def splits(theta: Partition, d1: int) -> list[tuple[Partition, Partition]]:
-    """All ways to split the part multiset of theta into (ω ⊢ d1, σ ⊢ |θ|−d1).
-
-    The `sub_multisets` of θ's parts that sum to d1, in the same order:
-    each distinct ω once, paired with its complement.  The result may be
-    empty.
-    """
-    if not 1 <= d1 < theta.size:
-        raise ValueError(f"d1 must satisfy 1 <= d1 < {theta.size}, got {d1}")
-    return [(Partition(taken), Partition(rest))
-            for taken, rest in sub_multisets(theta.parts) if sum(taken) == d1]
 
 
 @lru_cache(maxsize=None)

@@ -3,11 +3,11 @@
 For a fixed degree, target genus, fixed profiles μ^(1..s) and one repeated
 profile ν, both the disconnected and connected Hurwitz numbers are finite
 sums  prefactor · Σ_m b(m)·m^k  over positive integer moduli m, where k is
-the number of ν-points.  Both tables are one fold by the eigenvalue of ν:
-of the character sum's terms for the disconnected table, and of the table
-of eigenvalue functions that `hurwitz.ConnectedComputer.tc_table` builds
-from those terms for the connected one.  Each table is checked against the
-count it expands (the character sum, or the count form of the recursion,
+the number of ν-points.  Both tables are one fold by the eigenvalue of ν of
+a `hurwitz.ConnectedComputer` table of eigenfunctions: `t_table`, the
+character sum's terms grouped by eigenfunction, and `tc_table`, built from
+it by the peeling recursion.  Each table is checked against the count it
+expands (the character sum, or the count form of the recursion,
 `ConnectedComputer.value`) at held-out exponents.  The named statements and
 the asymptotic ratio are checked on these tables.
 """
@@ -84,11 +84,10 @@ class BTable:
 
     def coefficient(self, m) -> Fraction:
         """b(m); zero off the support, and for non-integer m."""
-        if isinstance(m, Fraction):
-            if m.denominator != 1:
-                return Fraction(0)
-            m = m.numerator
-        return self.entries.get(int(m), Fraction(0))
+        m = Fraction(m)
+        if m.denominator != 1:
+            return Fraction(0)
+        return self.entries.get(m.numerator, Fraction(0))
 
     def value_at(self, k: int) -> Fraction:
         """prefactor · Σ b(m)·m^k; matches the Hurwitz number for k ≥ 1 of
@@ -124,12 +123,12 @@ def _extract(kind: str, h: int, d: int, mus: tuple[Partition, ...], nu: Partitio
              cache: CharCache | None, parity: int | None) -> BTable:
     """Fold the degree-d table of the given kind into b(m), then check it.
 
-    Each term adds its coefficient to m = |t|, with sign sgn(t)^k for k of
-    the table's parity, where t is ν's eigenvalue on the term: e[ν] for an
-    eigenfunction e of the connected table, f_ν(λ) for a term λ of the
-    character sum (the disconnected fold evaluates no other hand-off type).
-    Each sum is divided by 2·d!^{2h}·∏(d!/z_μ), and the entries run in
-    decreasing m.  The table is then checked at held-out exponents of its
+    Both kinds fold a table {eigenfunction e: coefficient}, `tc_table` if
+    connected and `t_table` (the character sum grouped by eigenfunction)
+    if not.  Each entry adds its coefficient to m = |t|, with sign sgn(t)^k
+    for k of the table's parity, where t = e[full] = f_ν(λ) is ν's
+    eigenvalue.  Each sum is divided by 2·d!^{2h}·∏(d!/z_μ), and the entries
+    run in decreasing m.  The table is then checked at held-out exponents of its
     parity against the count it expands.
     """
     mus = tuple(mus)
@@ -138,13 +137,10 @@ def _extract(kind: str, h: int, d: int, mus: tuple[Partition, ...], nu: Partitio
     par, vacuous = _resolve_parity(nu, mus, parity)
     computer = ConnectedComputer(h, d, mus, nu, cache)
     omegas = tuple(m.parts for m in mus)
-    if kind == "connected":
-        full = computer.algebra.full
-        pairs = ((e[full], coeff) for e, coeff in computer.tc_table(d, omegas).items())
-    else:
-        pairs = ((computer.f(nu.parts, lam), coeff) for lam, coeff in computer.terms(d, omegas))
+    eigen_table = computer.tc_table if kind == "connected" else computer.t_table
     folded: dict[int, int] = {}
-    for t, coeff in pairs:
+    for e, coeff in eigen_table(d, omegas).items():
+        t = e[computer.algebra.full]
         if t:
             folded[abs(t)] = folded.get(abs(t), 0) + (coeff if (t > 0 or par == 0) else -coeff)
     norm = 2 * _integer_scale(h, d, mus)

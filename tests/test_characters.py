@@ -9,6 +9,7 @@ from snhurwitz.characters import (
     CharCache,
     _bead_mask,
     central_character,
+    central_column,
     character_ratio,
     chi,
     chi_column,
@@ -162,9 +163,13 @@ def test_central_columns_match_chi_entries():
                 expected = Fraction(factorial(d) * chi_entries(lam, mu, oracle),
                                     mu.centralizer_order() * dimension(lam))
                 assert central_character(mu, lam, memo) == expected, (mu, lam)
-    # one central column per μ, each holding only the nonzero values
+    # one central column per μ, keyed by the parts of λ ⊢ |μ|, each holding
+    # only the nonzero values
     assert len(memo._central) == sum(len(partitions_of(d)) for d in range(11))
-    assert all(0 not in column.values() for column in memo._central.values())
+    for mu, column in memo._central.items():
+        assert column is central_column(mu, memo)
+        assert set(column) <= {lam.parts for lam in partitions_of(sum(mu))}, mu
+        assert 0 not in column.values()
 
 
 def test_non_integral_central_column_raises():
@@ -224,10 +229,12 @@ def test_character_ratio_checks_before_building_columns():
         with pytest.raises(CeilingError):
             call(Partition([6]), Partition([3, 3]), memo)
         assert not memo._values and not memo._central
-    memo = CharCache(max_degree=5)
-    with pytest.raises(CeilingError):
-        chi_column(Partition([3, 3]), memo)
-    assert not memo._values and not memo._central
+    # the column readers have no λ, only the ceiling to check
+    for call in (lambda memo: chi_column(Partition([3, 3]), memo), lambda memo: central_column((3, 3), memo)):
+        memo = CharCache(max_degree=5)
+        with pytest.raises(CeilingError):
+            call(memo)
+        assert not memo._values and not memo._central
 
 
 def test_stats_counts_whole_columns():

@@ -1,6 +1,5 @@
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial, prod
@@ -265,29 +264,37 @@ def test_disconnected_evaluates_each_distinct_profile_once(cache, monkeypatch):
 
 
 def test_computers_share_central_columns(monkeypatch):
-    # the benchmark's tracing wraps hurwitz.central_character: each computer
-    # calls it once per distinct (profile, λ), and a second computer over the
-    # same ν on the same cache reads the central columns the first one built
-    calls = Counter()
+    # a computer reads its eigenvalues from the cache's central columns and
+    # never calls hurwitz.central_character (which the benchmark's tracing
+    # wraps for the character sum); a second computer over the same ν on the
+    # same cache builds no central column and reads the first one's columns
+    calls, read = [], []
 
     def counting(theta, lam, cache=None):
-        calls[theta.parts, lam.parts] += 1
+        calls.append(theta)
         return central(theta, lam, cache)
 
-    central = hurwitz.central_character
+    def reading(mu, cache=None):
+        column = column_of(mu, cache)
+        read.append((mu, column))
+        return column
+
+    central, column_of = hurwitz.central_character, hurwitz.central_column
     monkeypatch.setattr(hurwitz, "central_character", counting)
+    monkeypatch.setattr(hurwitz, "central_column", reading)
     memo = CharCache()
     nu, mus = P([2, 2, 1, 1]), (P([3, 1, 1, 1]),)
-    columns = []
+    built = []
     for h in (0, 1):
-        calls.clear()
+        read.clear()
         comp = ConnectedComputer(h, 6, mus, nu, memo)
         for k in range(5):
             comp.value(k)
         comp.tc_table(6, tuple(m.parts for m in mus))
-        assert calls and set(calls.values()) == {1}
-        columns.append(dict(memo._central))
-    assert columns[1] == columns[0]
+        built.append(dict(memo._central))
+    assert not calls and read
+    assert built[1].keys() == built[0].keys()
+    assert all(column is built[0][mu] for mu, column in read)
 
 
 def test_import_fills_no_character_memo():

@@ -1,10 +1,11 @@
+from fractions import Fraction
 from math import factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from snhurwitz.errors import CeilingError, PartitionParseError
-from snhurwitz.partitions import Partition, dimension, parse, partitions_of, splits, sub_multisets
+from snhurwitz.partitions import Partition, dimension, parse, partitions_of, sub_multisets
 
 
 def partition_strategy(max_n=10):
@@ -32,6 +33,15 @@ def test_parse_rejects_bad_tokens(bad):
 def test_format_never_uses_exponents():
     assert str(parse("2,1^5")) == "2,1,1,1,1,1"
     assert str(Partition()) == ""
+
+
+def test_partition_rejects_non_integral_parts():
+    # parts are read as integers, never truncated: (2.5, 1.9) is not (2, 1)
+    for bad in ([2.5, 1.9], [3, Fraction(1, 2)]):
+        with pytest.raises(TypeError):
+            Partition(bad)
+    with pytest.raises(ValueError):
+        Partition([2, 0])
 
 
 def test_centralizer_order():
@@ -74,24 +84,29 @@ def test_enumeration_ceiling():
     assert len(partitions_of(31, ceiling=31)) == 6842
 
 
+def splits(parts, d1):
+    """The `sub_multisets` splits of a part tuple whose taken part sums to d1."""
+    return [(taken, rest) for taken, rest in sub_multisets(parts) if sum(taken) == d1]
+
+
 def test_splits_examples():
-    theta = Partition([2, 1, 1])
-    assert splits(theta, 2) == [
-        (Partition([2]), Partition([1, 1])),
-        (Partition([1, 1]), Partition([2])),
-    ]
-    assert splits(Partition([3]), 1) == []
-    assert splits(Partition([1, 1]), 1) == [(Partition([1]), Partition([1]))]
+    assert sub_multisets((2, 1, 1)) == (
+        ((2, 1, 1), ()), ((2, 1), (1,)), ((2,), (1, 1)),
+        ((1, 1), (2,)), ((1,), (2, 1)), ((), (2, 1, 1)),
+    )
+    assert splits((2, 1, 1), 2) == [((2,), (1, 1)), ((1, 1), (2,))]
+    assert splits((3,), 1) == []
+    assert splits((1, 1), 1) == [((1,), (1,))]
 
 
 def test_splits_are_exact_multiset_splits():
     for theta in partitions_of(8):
         for d1 in range(1, 8):
-            for omega, sigma in splits(theta, d1):
-                assert omega.size == d1 and sigma.size == 8 - d1
-                assert sorted(omega.parts + sigma.parts, reverse=True) == list(theta.parts)
+            for omega, sigma in splits(theta.parts, d1):
+                assert sum(omega) == d1 and sum(sigma) == 8 - d1
+                assert sorted(omega + sigma, reverse=True) == list(theta.parts)
             # distinct sub-multisets appear exactly once
-            seen = [w.parts for w, _ in splits(theta, d1)]
+            seen = [w for w, _ in splits(theta.parts, d1)]
             assert len(seen) == len(set(seen))
     for d in range(9):
         for theta in partitions_of(d):
@@ -104,9 +119,6 @@ def test_splits_are_exact_multiset_splits():
             # distinct and strictly decreasing, so no sub-multiset repeats
             assert all(a > b for a, b in zip(takens, takens[1:]))
             assert len(pairs) == prod(theta.multiplicity(v) + 1 for v in set(theta.parts))
-            for d1 in range(1, d):
-                assert splits(theta, d1) == [(Partition(taken), Partition(rest))
-                                             for taken, rest in pairs if sum(taken) == d1]
 
 
 def _standard_tableaux_count(parts):

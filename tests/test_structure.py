@@ -154,6 +154,10 @@ def test_connected_top_coefficient_is_one(cache):
             if table.vacuous:
                 continue
             assert table.coefficient(factorial(d) // nu.centralizer_order()) == 1, (d, nu)
+    # b(m) is zero at every non-integer m, however m is given
+    table = extract_b_connected(0, 4, (), P([2, 1, 1]), cache)
+    assert table.coefficient(6) == table.coefficient(6.0) == table.coefficient(Fraction(12, 2)) == 1
+    assert table.coefficient(6.5) == table.coefficient(Fraction(13, 2)) == 0
 
 
 def test_tables_are_integral_after_scaling(cache):
