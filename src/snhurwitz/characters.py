@@ -10,6 +10,9 @@ of the beads strictly between.
 
 `chi`, `chi_column` (behind `cache warm`) and `character_ratio` read the
 same columns, memoized on (d, μ-suffix) in the `CharCache` passed in.
+`walk_columns` visits every μ ⊢ d by a depth-first walk of the suffix tree
+that keeps only the columns on its path in that memo; the conjecture 1 and
+theorem B sweeps read their columns from it, in bounded memory.
 `central_column` keeps a second memo on the same cache: columns of
 class-sum eigenvalues {λ parts: f_μ(λ)}, each built once per μ from μ's χ
 column with every value checked to be an integer; `central_character` and
@@ -20,6 +23,7 @@ as the independent cross-check.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -32,6 +36,10 @@ class CharCache:
     """Two column memos, with the zero values dropped: χ columns
     {(d, μ-suffix): {d-bead mask of λ: χ_λ(μ)}} in `_values`, and central
     columns {μ parts: {λ parts: f_μ(λ)}} in `_central`.
+
+    The χ memo keeps every column `chi`, `chi_column`, `character_ratio`
+    and `central_column` build.  The columns `walk_columns` adds are
+    transient: each is dropped once the walk has left its subtree.
 
     In memory only: recomputing is faster than loading from disk.  `path` is
     kept for callers that pass it positionally and must be None.  A memo hit
@@ -105,6 +113,39 @@ def _checked(d: int, cache: CharCache | None) -> CharCache:
     if d > cache.max_degree:
         raise CeilingError(f"degree {d} exceeds cache ceiling {cache.max_degree}")
     return cache
+
+
+def walk_columns(d: int, cache: CharCache | None = None) -> Iterator[tuple[int, ...]]:
+    """Yield the parts of every μ ⊢ d once, with μ's column in the χ memo
+    while the caller holds μ.
+
+    The μ-suffixes are walked depth first: a child (a,) + s of suffix s has
+    a ≥ s[0], and the parts still to add number 0 or are each ≥ a.  Each
+    column is grown from its parent's, and a column the walk added is
+    dropped once its subtree is done, also when the walk is closed early;
+    columns already in the memo stay.  So at most one column per suffix
+    length is held, rather than every suffix's.  The ceiling is checked
+    when the walk is made, before any column is built.
+    """
+    memo = _checked(d, cache)._values
+
+    def visit(mu: tuple[int, ...], parent: dict[int, int] | None, rest: int) -> Iterator[tuple[int, ...]]:
+        key = (d, mu)
+        column = memo.get(key)
+        added = column is None
+        if added:
+            memo[key] = column = _grow(parent, mu[0]) if mu else {(1 << d) - 1: 1}
+        try:
+            if rest:
+                for a in (*range(mu[0] if mu else 1, rest // 2 + 1), rest):
+                    yield from visit((a,) + mu, column, rest - a)
+            else:
+                yield mu
+        finally:
+            if added:
+                del memo[key]
+
+    return visit((), None, d)
 
 
 def _lookup(lam: Partition, mu: Partition, cache: CharCache | None) -> int:

@@ -3,10 +3,11 @@
 For a fixed degree, target genus, fixed profiles μ^(1..s) and one repeated
 profile ν, both the disconnected and connected Hurwitz numbers are finite
 sums  prefactor · Σ_m b(m)·m^k  over positive integer moduli m, where k is
-the number of ν-points.  Both tables are one fold by the eigenvalue of ν of
-a `hurwitz.ConnectedComputer` table of eigenfunctions: `t_table`, the
-character sum's terms grouped by eigenfunction, and `tc_table`, built from
-it by the peeling recursion.  Each table is checked against the count it
+the number of ν-points.  Both tables are one fold of (eigenvalue of ν,
+coefficient) pairs from a `hurwitz.ConnectedComputer`: the character sum's
+terms (`terms`) with f_ν(λ) read from ν's central column, and `tc_table`,
+built by the peeling recursion with ν's eigenvalue at each eigenfunction's
+full hand-off type.  Each table is checked against the count it
 expands (the character sum, or the count form of the recursion,
 `ConnectedComputer.value`) at held-out exponents.  The named statements and
 the asymptotic ratio are checked on these tables.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from .characters import CharCache
+from .characters import CharCache, central_column
 from .characters import central_character  # noqa: F401  (rebound by bench/workloads.py's tracing)
 from .characters import character_ratio  # noqa: F401  (rebound by bench/workloads.py's tracing)
 from .errors import GenusError, HypothesisError, SizeMismatchError, SupportError
@@ -123,11 +124,12 @@ def _extract(kind: str, h: int, d: int, mus: tuple[Partition, ...], nu: Partitio
              cache: CharCache | None, parity: int | None) -> BTable:
     """Fold the degree-d table of the given kind into b(m), then check it.
 
-    Both kinds fold a table {eigenfunction e: coefficient}, `tc_table` if
-    connected and `t_table` (the character sum grouped by eigenfunction)
-    if not.  Each entry adds its coefficient to m = |t|, with sign sgn(t)^k
-    for k of the table's parity, where t = e[full] = f_ν(λ) is ν's
-    eigenvalue.  Each sum is divided by 2·d!^{2h}·∏(d!/z_μ), and the entries
+    Both kinds fold (t, coefficient) pairs, where t = f_ν(λ) is ν's
+    eigenvalue: e[full] over `tc_table` {eigenfunction e: coefficient} if
+    connected, and ν's central column at each λ of the character sum's
+    `terms` if not, so a disconnected table builds no other central column.
+    Each pair adds its coefficient to m = |t|, with sign sgn(t)^k for k of
+    the table's parity.  Each sum is divided by 2·d!^{2h}·∏(d!/z_μ), and the entries
     run in decreasing m.  The table is then checked at held-out exponents of its
     parity against the count it expands.
     """
@@ -137,10 +139,14 @@ def _extract(kind: str, h: int, d: int, mus: tuple[Partition, ...], nu: Partitio
     par, vacuous = _resolve_parity(nu, mus, parity)
     computer = ConnectedComputer(h, d, mus, nu, cache)
     omegas = tuple(m.parts for m in mus)
-    eigen_table = computer.tc_table if kind == "connected" else computer.t_table
+    if kind == "connected":
+        full = computer.algebra.full
+        pairs = ((e[full], coeff) for e, coeff in computer.tc_table(d, omegas).items())
+    else:
+        column = central_column(nu.parts, cache)
+        pairs = ((column.get(lam.parts, 0), coeff) for lam, coeff in computer.terms(d, omegas))
     folded: dict[int, int] = {}
-    for e, coeff in eigen_table(d, omegas).items():
-        t = e[computer.algebra.full]
+    for t, coeff in pairs:
         if t:
             folded[abs(t)] = folded.get(abs(t), 0) + (coeff if (t > 0 or par == 0) else -coeff)
     norm = 2 * _integer_scale(h, d, mus)

@@ -5,6 +5,12 @@ reduced Fraction from character_ratio and compare it with a bound p/q by
 integer cross-multiplication; "tight" means equality holds exactly.  Sweeps report
 violations and the extremal witnesses even when they pass, so larger runs
 can compare extremizers against desk-scale ones.
+
+The conjecture 1 and theorem B sweeps read every class's column: they take
+μ from `characters.walk_columns`, which holds one χ column per suffix
+length, so their memory stays bounded up to the ceiling, and they emit the
+report in `partitions_of` order.  The lemma sweeps read d − 1 hook classes
+and use the plain memo.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
-from .characters import CharCache, character_ratio
+from .characters import CharCache, character_ratio, walk_columns
 from .errors import HypothesisError
 from .partitions import Partition, partitions_of
 from .structure import BTable, extract_b_connected, mark_vacuous, subleading_values
@@ -80,6 +86,19 @@ def _scan(lams: list[Partition], mu: Partition, bound, cache: CharCache | None
         if num * top_den > top_num * den:
             top_num, top_den, argmax = num, den, lam
     return at_or_above, (Fraction(top_num, top_den), argmax)
+
+
+def _walk_scans(d: int, lams: list[Partition], bounds: dict[tuple[int, ...], Fraction], cache: CharCache | None
+                ) -> dict[tuple[int, ...], tuple]:
+    """_scan(lams, μ, bounds[μ]) for each μ ⊢ d whose parts are in bounds,
+    keyed by μ's parts.
+
+    The μ are taken in the order of the depth-first column walk, so the χ
+    memo holds only the columns on the walk's path, at most d + 1 at once;
+    each character_ratio call reads the column the walk put there.
+    """
+    return {parts: _scan(lams, Partition(parts), bounds[parts], cache)
+            for parts in walk_columns(d, cache) if parts in bounds}
 
 
 def check_lemma_l1(lam: Partition, r: int, cache: CharCache | None = None) -> dict:
@@ -166,17 +185,22 @@ def check_lemma_rm2(d: int, cache: CharCache | None = None) -> BoundReport:
 
 
 def check_theorem_B(d: int, cache: CharCache | None = None) -> BoundReport:
-    """|χ_λ(μ)|/dim λ ≤ 1 for μ ≠ (1^d), equality exactly at λ=(d),(1^d)."""
+    """|χ_λ(μ)|/dim λ ≤ 1 for μ ≠ (1^d), equality exactly at λ=(d),(1^d).
+
+    μ is scanned in the order of the depth-first column walk, which leaves
+    the χ memo as it found it; the report runs in partitions_of order.
+    """
     if d < 5:
         raise HypothesisError(f"needs d ≥ 5, got {d}")
     start = time.perf_counter()
     report = BoundReport("theorem-B", d, {"mu": "all classes except (1^d)"})
     extreme = {str(Partition([d])), str(Partition([1] * d))}
     lams = partitions_of(d)
+    scans = _walk_scans(d, lams, {mu.parts: 1 for mu in lams if mu.colength}, cache)
     for mu in lams:
         if mu.colength == 0:
             continue
-        hits, _ = _scan(lams, mu, 1, cache)
+        hits, _ = scans[mu.parts]
         report.checked += len(lams)
         report.violations.extend(
             {"mu": str(mu), "lambda": str(lam), "ratio": str(ratio)}
@@ -224,7 +248,9 @@ def check_conjecture1(d: int, cache: CharCache | None = None, jobs: int = 1) -> 
     """Falsification sweep for the three conjectured ratio bounds at degree d.
 
     Exclusion lists are honored and reported; a violation or an equality-set
-    mismatch is a counterexample worth publishing.  The sweep is serial:
+    mismatch is a counterexample worth publishing.  μ is scanned in the
+    order of the depth-first column walk, which leaves the χ memo as it
+    found it; the report runs in partitions_of order.  The sweep is serial:
     `jobs` is accepted for existing callers and ignored, because threads over
     the pure-Python χ recursion only contend for the GIL and ran slower.
     """
@@ -234,13 +260,15 @@ def check_conjecture1(d: int, cache: CharCache | None = None, jobs: int = 1) -> 
     report = BoundReport("conjecture1", d, {"lambda": "all except (d),(1^d)"})
     extreme = Partition([d]), Partition([1] * d)
     lams = [lam for lam in partitions_of(d) if lam not in extreme]
-    for mu in partitions_of(d):
-        clause = _conjecture1_clause(d, mu)
+    clauses = [(mu, _conjecture1_clause(d, mu)) for mu in partitions_of(d)]
+    scans = _walk_scans(d, lams, {mu.parts: clause[1] for mu, clause in clauses
+                                  if not isinstance(clause, str)}, cache)
+    for mu, clause in clauses:
         if isinstance(clause, str):
             report.skipped.append({"mu": str(mu), "reason": clause})
             continue
         cid, bound, eq_expected = clause
-        hits, (top, argmax) = _scan(lams, mu, bound, cache)
+        hits, (top, argmax) = scans[mu.parts]
         report.checked += len(lams)
         report.violations.extend(
             {"mu": str(mu), "clause": cid, "lambda": str(lam),

@@ -8,15 +8,17 @@ from oracles import chi_entries
 from snhurwitz.characters import (
     CharCache,
     _bead_mask,
+    _column,
     central_character,
     central_column,
     character_ratio,
     chi,
     chi_column,
     one_cycle_central_character,
+    walk_columns,
 )
 from snhurwitz.errors import CeilingError, ExactnessError, SizeMismatchError
-from snhurwitz.partitions import Partition, dimension, partitions_of
+from snhurwitz.partitions import Partition, _partition_tuples, dimension, partitions_of
 
 
 # -- independent oracle: irreducible characters from permutation modules ----
@@ -235,6 +237,47 @@ def test_character_ratio_checks_before_building_columns():
         with pytest.raises(CeilingError):
             call(memo)
         assert not memo._values and not memo._central
+
+
+def test_walk_columns_holds_each_column_while_its_partition_is_held():
+    for d in range(13):
+        memo = CharCache()
+        seen = []
+        for mu in walk_columns(d, memo):
+            assert memo._values[(d, mu)] == _column(d, mu, {}), mu
+            assert len(memo._values) <= d + 1
+            seen.append(mu)
+        assert sorted(seen) == sorted(_partition_tuples(d, d)) and len(seen) == len(set(seen))
+        assert not memo._values
+        # closed early, the walk still drops every column it added
+        walk = walk_columns(d, memo)
+        next(walk)
+        walk.close()
+        assert not memo._values
+
+
+def test_walk_columns_keeps_columns_it_did_not_add():
+    memo = CharCache()
+    chi(Partition([3, 2, 1]), Partition([2, 2, 1, 1]), memo)
+    chi(Partition([5, 4]), Partition([3, 3, 2, 1]), memo)
+    before = dict(memo._values)
+    for d in (6, 9):
+        for _ in walk_columns(d, memo):
+            pass
+        walk = walk_columns(d, memo)
+        for mu in walk:
+            if (d, mu) not in before:
+                break
+        walk.close()
+        assert memo._values == before
+        assert all(memo._values[key] is column for key, column in before.items())
+
+
+def test_walk_columns_checks_the_ceiling_first():
+    memo = CharCache(max_degree=8)
+    with pytest.raises(CeilingError):
+        walk_columns(9, memo)
+    assert not memo._values and not memo._central
 
 
 def test_stats_counts_whole_columns():

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from snhurwitz.characters import CharCache
 from snhurwitz.errors import GenusError, HypothesisError
 from snhurwitz.hurwitz import CoverSpec, RepeatedSpec, brute_force_connected, disconnected
 from snhurwitz.partitions import Partition, dimension, partitions_of
@@ -65,6 +66,14 @@ def test_disconnected_table_top_and_reconstruction(cache):
             k = table.parity + 8
             direct = disconnected(CoverSpec(0, d, (nu,) * k), cache)
             assert table.value_at(k) == direct
+
+
+def test_disconnected_table_builds_only_nus_central_column():
+    # the fold reads f_ν(λ) from ν's column alone, not from the central
+    # columns of ν's hand-off types
+    memo, nu = CharCache(), P([3, 2, 2, 1, 1, 1])
+    extract_b_disconnected(0, 10, (), nu, memo)
+    assert set(memo._central) == {nu.parts}
 
 
 def test_disconnected_table_parity_rules(cache):

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import scan_fractions
 from snhurwitz import verify
-from snhurwitz.characters import character_ratio
+from snhurwitz.characters import CharCache, character_ratio
 from snhurwitz.errors import HypothesisError
 from snhurwitz.partitions import Partition, partitions_of
 from snhurwitz.verify import (
@@ -93,6 +93,25 @@ def test_sweeps_call_character_ratio_once_per_checked_pair(cache, monkeypatch):
         calls.clear()
         report = sweep(d, cache=cache)
         assert report.checked and len(calls) == report.checked, sweep.__name__
+
+
+def test_ratio_sweeps_hold_one_column_per_suffix_length(monkeypatch):
+    # the sweeps take μ from the depth-first column walk: during every
+    # character_ratio call the χ memo holds at most the d + 1 columns on
+    # the walk's path, and after the sweep it holds none
+    held = []
+
+    def recording(lam, mu, cache=None):
+        held.append(len(cache._values))
+        return character_ratio(lam, mu, cache)
+
+    monkeypatch.setattr(verify, "character_ratio", recording)
+    for sweep, d in ((check_conjecture1, 14), (check_theorem_B, 12)):
+        memo = CharCache()
+        held.clear()
+        report = sweep(d, memo)
+        assert len(held) == report.checked and max(held) <= d + 1, sweep.__name__
+        assert not memo._values
 
 
 def test_lemma_l1_entry_trivial_row(cache):
