@@ -16,10 +16,8 @@ from .young_trees import (
     Box,
     YoungTree,
     enumerate_trees,
-    induced_graph,
     central_character_from_trees,
     frobenius_central_character,
-    straighten,
     count_straight_trees,
 )
 from .hurwitz import (
@@ -36,6 +34,7 @@ from .structure import (
     extract_b_disconnected,
     extract_b_connected,
     verify_theorem,
+    check_conjecture_b,
     asymptotic_ratio,
 )
 from .verify import (
@@ -45,7 +44,6 @@ from .verify import (
     check_lemma_rm2,
     check_theorem_B,
     check_conjecture1,
-    check_conjecture_b,
 )
 
 __version__ = "0.1.0"

@@ -191,7 +191,7 @@ def _cmd_conjecture(args, cache) -> int:
     else:
         if args.nu is None:
             raise SnHurwitzError(f"{args.which} needs --nu")
-        report = verify.check_conjecture_b(
+        report = structure.check_conjecture_b(
             args.which, args.d, parse(args.nu), h=args.target_genus,
             mus=_profiles(args.profile), cache=cache)
         rows = (["clause", "pass", "detail"],

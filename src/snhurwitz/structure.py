@@ -9,8 +9,13 @@ terms (`terms`) with f_ν(λ) read from ν's central column, and `tc_table`,
 built by the peeling recursion with ν's eigenvalue at each eigenfunction's
 full hand-off type.  Each table is checked against the count it
 expands (the character sum, or the count form of the recursion,
-`ConnectedComputer.value`) at held-out exponents.  The named statements and
-the asymptotic ratio are checked on these tables.
+`ConnectedComputer.value`) at held-out exponents.
+
+Every statement about a table lives here: the named statements (T1, T2,
+T5, T6, PropDH, LemmaDH2), the coefficient-gap conjectures (cH4, cH9,
+cH11) and the asymptotic ratio.  Their moduli below the top d!/z_ν are
+the pair modulus d!/z_ν·m₁(ν)/d or d!/z_ν times one of conjecture 1's
+ratio bounds, read from `verify.ratio_bound`.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .characters import character_ratio  # noqa: F401  (rebound by bench/workloa
 from .errors import GenusError, HypothesisError, SizeMismatchError, SupportError
 from .hurwitz import ConnectedComputer, CoverSpec, disconnected
 from .partitions import Partition
+from .verify import ratio_bound
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +121,9 @@ class BTable:
         }
 
 
-def _sample_exponents(parity: int, count: int, start_at_least: int = 1) -> list[int]:
-    k0 = start_at_least + ((parity - start_at_least) % 2)
-    return [k0 + 2 * i for i in range(count)]
+def _sample_exponents(parity: int, count: int) -> list[int]:
+    """The first count exponents k ≥ 1 of the given parity."""
+    return [2 - parity + 2 * i for i in range(count)]
 
 
 def _extract(kind: str, h: int, d: int, mus: tuple[Partition, ...], nu: Partition,
@@ -207,6 +213,11 @@ def _clause(cid: int, ok: bool, m=None, expected=None, got=None, note: str | Non
     return out
 
 
+def _between(table: BTable, lo: Fraction, hi: Fraction) -> list[int]:
+    """The table's moduli on the open interval (lo, hi), increasing."""
+    return [m for m in sorted(table.entries) if lo < m < hi]
+
+
 def _ladder(table: BTable, rungs: list[tuple[Fraction, Fraction]]) -> list[dict]:
     """Clauses for rungs [(m, expected b(m))], top first: the value at each
     rung, and between consecutive rungs a gap clause (b vanishes on the open
@@ -215,7 +226,7 @@ def _ladder(table: BTable, rungs: list[tuple[Fraction, Fraction]]) -> list[dict]
     hi = None
     for m, expected in rungs:
         if hi is not None:
-            bad = [x for x in sorted(table.entries) if m < x < hi]
+            bad = _between(table, m, hi)
             if bad:
                 clauses.append(_clause(len(clauses) + 1, False, m=bad[0], expected=0,
                                        got=table.coefficient(bad[0]),
@@ -228,7 +239,7 @@ def _ladder(table: BTable, rungs: list[tuple[Fraction, Fraction]]) -> list[dict]
     return clauses
 
 
-def subleading_values(h: int, d: int, mus: tuple[Partition, ...]) -> tuple[Fraction, Fraction]:
+def _subleading_values(h: int, d: int, mus: tuple[Partition, ...]) -> tuple[Fraction, Fraction]:
     """The closed forms d^{2−2h−s}·∏m₁(μ) and (d−1)^{2−2h−s}·∏(m₁(μ)−1) that
     the statements and conjectures assert at their second and third moduli."""
     e = 2 - 2 * h - len(mus)
@@ -236,12 +247,29 @@ def subleading_values(h: int, d: int, mus: tuple[Partition, ...]) -> tuple[Fract
             Fraction(d - 1) ** e * prod(mu.multiplicity(1) - 1 for mu in mus))
 
 
-def mark_vacuous(table: BTable, clauses: list[dict]) -> None:
-    """A table no cover realizes satisfies every clause; say so in each note."""
+def _moduli(d: int, nu: Partition) -> tuple[Fraction, Fraction, dict[int, Fraction]]:
+    """The moduli that the table statements name for ν ⊢ d: the top
+    d!/z_ν, the pair modulus top·m₁(ν)/d, and top·B for each of conjecture
+    1's bounds B, keyed by clause and read at ν's own m₁ and m₂."""
+    top = Fraction(factorial(d), nu.centralizer_order())
+    mult = {1: nu.multiplicity(1), 2: nu.multiplicity(2), 3: 0}
+    return top, top * mult[1] / d, {c: top * ratio_bound(d, c, m)[0] for c, m in mult.items()}
+
+
+def _finish(report: dict, table: BTable) -> dict:
+    """Close a table statement's report: on a table no cover realizes every
+    clause holds, and its note says so; the params gain the table's parity,
+    and the report its first failing clause and its verdict."""
+    clauses = report["clauses"]
     if table.vacuous:
         for c in clauses:
             c["pass"] = True
             c["note"] = (c.get("note", "") + " [vacuous: no exponent has even total colength]").strip()
+    report["params"]["parity"] = "even" if table.parity == 0 else "odd"
+    failing = [c for c in clauses if not c["pass"]]
+    report["counterexample"] = failing[0] if failing else None
+    report["pass"] = not failing
+    return report
 
 
 #: canonical statement names, keyed by their spelling without '-', '_' or case
@@ -263,13 +291,15 @@ def verify_theorem(
     r: int | None = None,
     nu: Partition | None = None,
     cache: CharCache | None = None,
-    parity: int | None = None,
 ) -> dict:
     """Machine-check one named statement; returns a JSON-ready report.
 
     Statements: T1/T5/T6 (connected tables for ν = (r,1^{d−r}), (d−1,1), (d)),
     T2 (connected, general ν, top coefficient and integrality), PropDH and
-    LemmaDH2 (their disconnected counterparts).
+    LemmaDH2 (their disconnected counterparts).  Each rung below the top
+    d!/z_ν is the pair modulus or the top times one of conjecture 1's ratio
+    bounds (`_moduli`): T1 reads the pair and B₁(m₁), PropDH B₁(m₁), T5 the
+    pair and B₃, T6 B₁(0).
     """
     mus = tuple(mus)
     name = statement_name(statement)
@@ -283,48 +313,124 @@ def verify_theorem(
         d_min = 5 if name == "T2" else 7
         if d < d_min:
             raise HypothesisError(f"{name} requires d ≥ {d_min}, got d={d}")
-        rungs = [(Fraction(factorial(d), nu.centralizer_order()), 1)]
+        rungs = [(_moduli(d, nu)[0], 1)]
     else:
         if d < 7:
             raise HypothesisError(f"{name} requires d ≥ 7, got d={d}")
         if name in ("T1", "PropDH") and (r is None or not 2 <= r <= d - 2):
             raise HypothesisError(f"{name} requires 2 ≤ r ≤ d−2, got r={r}")
-        val_d, val_d1 = subleading_values(h, d, mus)
-        if name == "T5":
-            r = d - 1
-            rungs = [(Fraction(d * factorial(d - 2)), 1), (Fraction(factorial(d - 2)), -val_d),
-                     (Fraction(2 * (d - 2) * factorial(d - 4)), val_d1)]
-        elif name == "T6":
-            r = d
-            rungs = [(Fraction(factorial(d - 1)), 1), (Fraction(factorial(d - 2)), val_d1)]
-        else:
-            top = (Fraction(factorial(d), r * factorial(d - r)), 1)
-            mid = (Fraction(factorial(d - 1), r * factorial(d - r - 1)), -val_d)
-            low = (Fraction((d - r - 1) * factorial(d), r * (d - 1) * factorial(d - r)), val_d1)
-            rungs = [top, mid, low] if name == "T1" else [top, low]
+        r = {"T5": d - 1, "T6": d}.get(name, r)
         params["r"] = r
         nu = Partition([r] + [1] * (d - r))
+        top, pair, below = _moduli(d, nu)
+        val_d, val_d1 = _subleading_values(h, d, mus)
+        rungs = {"T1": [(top, 1), (pair, -val_d), (below[1], val_d1)],
+                 "PropDH": [(top, 1), (below[1], val_d1)],
+                 "T5": [(top, 1), (pair, -val_d), (below[3], val_d1)],
+                 "T6": [(top, 1), (below[1], val_d1)]}[name]
 
     extract = extract_b_disconnected if name in ("PropDH", "LemmaDH2") else extract_b_connected
-    table = extract(h, d, mus, nu, cache, parity)
+    table = extract(h, d, mus, nu, cache)
     clauses = _ladder(table, rungs)
     if name in ("T2", "LemmaDH2"):
         bad = table.integrality_violations()
         clauses.append(_clause(2, not bad, m=bad[0] if bad else None,
                                note="integer after scaling by d!^{2h}·∏ d!/z"))
-    mark_vacuous(table, clauses)
-
     params["nu"] = str(nu)
-    params["parity"] = "even" if table.parity == 0 else "odd"
-    failing = [c for c in clauses if not c["pass"]]
-    return {
-        "theorem": name,
-        "params": params,
-        "vacuous": table.vacuous,
-        "clauses": clauses,
-        "counterexample": failing[0] if failing else None,
-        "pass": not failing,
-    }
+    return _finish({"theorem": name, "params": params, "vacuous": table.vacuous,
+                    "clauses": clauses}, table)
+
+
+def check_conjecture_b(
+    conj: str,
+    d: int,
+    nu: Partition,
+    h: int = 0,
+    mus: tuple[Partition, ...] = (),
+    cache: CharCache | None = None,
+) -> dict:
+    """Check one of the coefficient-gap conjectures on the connected table.
+
+    conj is "cH4" (m_1(ν) ≥ 2), "cH9" (m_1(ν) = 0) or "cH11" (m_1(ν) = 1),
+    each with its literal exclusion list; gap clauses assert vanishing
+    coefficients on open intervals, value clauses assert closed forms.
+    Their moduli come from `_moduli`: the pair modulus in cH4 and cH11, the
+    top times B₁(m₁) in cH4 and cH9, times B₂(m₂) in cH11 clause 3 and
+    times B₃ in cH11 clause 4.
+    """
+    conj = conj.strip()
+    if conj not in ("cH4", "cH9", "cH11"):
+        raise HypothesisError(f"unknown conjecture {conj!r}")
+    if d < 10:
+        raise HypothesisError(f"{conj} needs d ≥ 10, got {d}")
+    if nu.size != d:
+        raise HypothesisError(f"nu={nu} does not partition d={d}")
+    mus = tuple(mus)
+    m1nu, m2nu = nu.multiplicity(1), nu.multiplicity(2)
+    notes: list[str] = []
+    top, pair, below = _moduli(d, nu)
+    val_d, val_d1 = _subleading_values(h, d, mus)
+
+    if conj == "cH4":
+        if m1nu < 2:
+            raise HypothesisError("cH4 needs m_1(nu) ≥ 2")
+    elif conj == "cH9":
+        if m1nu != 0:
+            raise HypothesisError("cH9 needs m_1(nu) = 0")
+        if d % 2 == 0 and nu == Partition([2] * (d // 2)):
+            raise HypothesisError("cH9 excludes nu=(2^{d/2})")
+    else:
+        if m1nu != 1:
+            raise HypothesisError("cH11 needs m_1(nu) = 1")
+        if d % 3 == 0 and nu == Partition([3] * (d // 3 - 1) + [2, 1]):
+            raise HypothesisError("cH11 excludes nu=(3^{d/3-1},2,1)")
+        if d % 3 == 1 and nu == Partition([3] * ((d - 1) // 3) + [1]):
+            raise HypothesisError("cH11 excludes nu=(3^{(d-1)/3},1)")
+        # the stated exclusion (2^{d/2-1},1) has size d-1, so it can never
+        # match a partition of d; matched literally and logged
+        notes.append("exclusion (2^{d/2-1},1) has size d-1; no nu ⊢ d matches it")
+
+    table = extract_b_connected(h, d, mus, nu, cache)
+    clauses = []
+
+    def gap_clause(cid, lo, hi):
+        bad = [{"m": str(m), "b": str(table.coefficient(m))} for m in _between(table, lo, hi)]
+        clause = {
+            "id": cid, "kind": "gap", "interval": [str(lo), str(hi)],
+            "pass": not bad, "violations": bad,
+        }
+        if lo >= hi:
+            clause["note"] = "empty interval: lower edge ≥ upper edge, nothing checked"
+        clauses.append(clause)
+
+    def value_clause(cid, m, expected):
+        got = table.coefficient(m)
+        clauses.append({
+            "id": cid, "kind": "value", "m": str(m),
+            "expected": str(expected), "got": str(got), "pass": got == expected,
+        })
+
+    if conj == "cH4":
+        gap_clause(1, pair, top)
+        gap_clause(2, below[1], pair)
+        value_clause(3, pair, -val_d)
+        if not (d % 2 == 0 and nu == Partition([2] * (d // 2 - 1) + [1, 1])):
+            value_clause(4, below[1], val_d1)
+        else:
+            notes.append("value clause at the lower edge skipped: nu=(2^{d/2-1},1^2)")
+    elif conj == "cH9":
+        gap_clause(1, below[1], top)
+        value_clause(2, below[1], val_d1)
+    else:
+        gap_clause(1, pair, top)
+        value_clause(2, pair, val_d1)
+        if m2nu != 1:
+            gap_clause(3, below[2], pair)
+        if m2nu == 0:
+            gap_clause(4, below[3], pair)
+
+    params = {"d": d, "nu": str(nu), "h": h, "mus": [str(m) for m in mus]}
+    return _finish({"conjecture": conj, "params": params, "clauses": clauses, "notes": notes}, table)
 
 
 def asymptotic_ratio(

@@ -1,10 +1,16 @@
-"""Exhaustive checkers for the character-ratio bounds and conjecture sweeps.
+"""Exhaustive checkers for the character-ratio bounds, and the bounds themselves.
 
 Every comparison is exact: the ratio sweeps read each |χ_λ(μ)|/dim λ as a
 reduced Fraction from character_ratio and compare it with a bound p/q by
 integer cross-multiplication; "tight" means equality holds exactly.  Sweeps report
 violations and the extremal witnesses even when they pass, so larger runs
 can compare extremizers against desk-scale ones.
+
+`ratio_bound` writes conjecture 1's three bounds, each with the two λ that
+attain it, and is the one place they are written: conjecture 1 reads them
+per class, lemma rm2 is clauses 1 and 3 on the classes (r,1^{d−r}), and
+`structure` scales them by d!/z_ν into the moduli that the table
+statements and the coefficient-gap conjectures name.
 
 The conjecture 1 and theorem B sweeps read every class's column: they take
 μ from `characters.walk_columns`, which holds one χ column per suffix
@@ -18,12 +24,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .characters import CharCache, character_ratio, walk_columns
 from .errors import HypothesisError
 from .partitions import Partition, partitions_of
-from .structure import BTable, extract_b_connected, mark_vacuous, subleading_values
 from .young_trees import count_straight_trees
 
 
@@ -139,24 +144,30 @@ def sweep_lemma_l1(d: int, r: int | None = None, cache: CharCache | None = None)
     return report
 
 
-def _rm2_bound(d: int, r: int) -> Fraction:
-    if r == d - 1:
-        return Fraction(2, d * (d - 3))
-    return Fraction(abs(d - r - 1), d - 1)
+def ratio_bound(d: int, clause: int, m: int = 0) -> tuple[Fraction, list[Partition]]:
+    """Conjecture 1's bound on |χ_λ(μ)|/dim λ for λ ∉ {(d),(1^d)}, with the
+    two λ that attain it.
 
-
-def _rm2_equality_set(d: int, r: int) -> list[Partition]:
-    if r == d - 1:
-        return [Partition([d - 2, 2]), Partition([2, 2] + [1] * (d - 4))]
-    return [Partition([d - 1, 1]), Partition([2] + [1] * (d - 2))]
+    Clause 1 reads m = m₁(μ): |m−1|/(d−1), at (d−1,1) and (2,1^{d−2}).
+    Clause 2 reads m = m₂(μ): 2m/((d−1)(d−2)), at (d−2,1,1) and (3,1^{d−3}).
+    Clause 3 ignores m: 2/(d(d−3)), at (d−2,2) and (2,2,1^{d−4}).
+    """
+    if clause == 1:
+        return Fraction(abs(m - 1), d - 1), [Partition([d - 1, 1]), Partition([2] + [1] * (d - 2))]
+    if clause == 2:
+        return Fraction(2 * m, (d - 1) * (d - 2)), [Partition([d - 2, 1, 1]),
+                                                     Partition([3] + [1] * (d - 3))]
+    if clause == 3:
+        return Fraction(2, d * (d - 3)), [Partition([d - 2, 2]), Partition([2, 2] + [1] * (d - 4))]
+    raise ValueError(f"conjecture 1 has clauses 1, 2 and 3, got {clause}")
 
 
 def check_lemma_rm2(d: int, cache: CharCache | None = None) -> BoundReport:
     """Second character-ratio bound for every class (r,1^{d−r}), 2 ≤ r ≤ d.
 
-    For λ outside {(d),(1^d)} the ratio is at most |d−r−1|/(d−1), except
-    r = d−1 where it is at most 2/(d(d−3)); the equality sets are checked
-    exactly.
+    This is conjecture 1 on those classes: clause 3 at r = d−1 (m₁ = 1,
+    m₂ = 0), where the bound is 2/(d(d−3)), and clause 1 at m₁ = d−r
+    elsewhere, |d−r−1|/(d−1); the equality sets are checked exactly.
     """
     if d < 7:
         raise HypothesisError(f"needs d ≥ 7, got {d}")
@@ -165,14 +176,14 @@ def check_lemma_rm2(d: int, cache: CharCache | None = None) -> BoundReport:
     extreme = Partition([d]), Partition([1] * d)
     lams = [lam for lam in partitions_of(d) if lam not in extreme]
     for r in range(2, d + 1):
-        bound = _rm2_bound(d, r)
+        bound, eq_expected = ratio_bound(d, 3) if r == d - 1 else ratio_bound(d, 1, d - r)
         hits, (top, argmax) = _scan(lams, Partition([r] + [1] * (d - r)), bound, cache)
         report.checked += len(lams)
         report.violations.extend(
             {"r": r, "lambda": str(lam), "ratio": str(ratio), "bound": str(bound)}
             for lam, ratio in hits if ratio > bound
         )
-        expected_eq = {str(p) for p in _rm2_equality_set(d, r)}
+        expected_eq = {str(p) for p in eq_expected}
         observed_eq = {str(lam) for lam, ratio in hits if ratio == bound}
         if observed_eq != expected_eq:
             report.equality_mismatches.append(
@@ -226,21 +237,16 @@ def _conjecture1_clause(d: int, mu: Partition) -> tuple[int, Fraction, list[Part
             return "excluded: (2^{d/2})"
         if d % 2 == 0 and mu == Partition([2] * (d // 2 - 1) + [1, 1]):
             return "excluded: (2^{d/2-1},1^2)"
-        return 1, Fraction(abs(m1 - 1), d - 1), [Partition([d - 1, 1]), Partition([2] + [1] * (d - 2))]
+        return 1, *ratio_bound(d, 1, m1)
     if m2 >= 2:
+        # kept as stated, though (3^{d/3-1},2,1) has m_2 = 1 and never gets here
         if d % 3 == 0 and mu == Partition([3] * (d // 3 - 1) + [2, 1]):
             return "excluded: (3^{d/3-1},2,1)"
-        return 2, Fraction(2 * m2, (d - 1) * (d - 2)), [
-            Partition([d - 2, 1, 1]),
-            Partition([3] + [1] * (d - 3)),
-        ]
+        return 2, *ratio_bound(d, 2, m2)
     if m2 == 0:
         if d % 3 == 1 and mu == Partition([3] * ((d - 1) // 3) + [1]):
             return "excluded: (3^{(d-1)/3},1)"
-        return 3, Fraction(2, d * (d - 3)), [
-            Partition([d - 2, 2]),
-            Partition([2, 2] + [1] * (d - 4)),
-        ]
+        return 3, *ratio_bound(d, 3)
     return "m_1(mu)=1, m_2(mu)=1 is covered by no clause"
 
 
@@ -288,120 +294,3 @@ def check_conjecture1(d: int, cache: CharCache | None = None, jobs: int = 1) -> 
         )
     report.runtime_seconds = time.perf_counter() - start
     return report
-
-
-# ---------------------------------------------------------------------------
-# coefficient-gap conjectures for general ν
-# ---------------------------------------------------------------------------
-
-
-def _gap(table: BTable, lo: Fraction, hi: Fraction) -> list[dict]:
-    return [
-        {"m": str(m), "b": str(table.coefficient(m))}
-        for m in sorted(table.entries)
-        if lo < m < hi
-    ]
-
-
-def check_conjecture_b(
-    conj: str,
-    d: int,
-    nu: Partition,
-    h: int = 0,
-    mus: tuple[Partition, ...] = (),
-    cache: CharCache | None = None,
-) -> dict:
-    """Check one of the coefficient-gap conjectures on the connected table.
-
-    conj is "cH4" (m_1(ν) ≥ 2), "cH9" (m_1(ν) = 0) or "cH11" (m_1(ν) = 1),
-    each with its literal exclusion list; gap clauses assert vanishing
-    coefficients on open intervals, value clauses assert closed forms.
-    """
-    conj = conj.strip()
-    if conj not in ("cH4", "cH9", "cH11"):
-        raise HypothesisError(f"unknown conjecture {conj!r}")
-    if d < 10:
-        raise HypothesisError(f"{conj} needs d ≥ 10, got {d}")
-    if nu.size != d:
-        raise HypothesisError(f"nu={nu} does not partition d={d}")
-    mus = tuple(mus)
-    m1nu, m2nu = nu.multiplicity(1), nu.multiplicity(2)
-    notes: list[str] = []
-    z = nu.centralizer_order()
-    fact = factorial(d)
-    top = Fraction(fact, z)
-    val_d, val_d1 = subleading_values(h, d, mus)
-
-    if conj == "cH4":
-        if m1nu < 2:
-            raise HypothesisError("cH4 needs m_1(nu) ≥ 2")
-    elif conj == "cH9":
-        if m1nu != 0:
-            raise HypothesisError("cH9 needs m_1(nu) = 0")
-        if d % 2 == 0 and nu == Partition([2] * (d // 2)):
-            raise HypothesisError("cH9 excludes nu=(2^{d/2})")
-    else:
-        if m1nu != 1:
-            raise HypothesisError("cH11 needs m_1(nu) = 1")
-        if d % 3 == 0 and nu == Partition([3] * (d // 3 - 1) + [2, 1]):
-            raise HypothesisError("cH11 excludes nu=(3^{d/3-1},2,1)")
-        if d % 3 == 1 and nu == Partition([3] * ((d - 1) // 3) + [1]):
-            raise HypothesisError("cH11 excludes nu=(3^{(d-1)/3},1)")
-        # the stated exclusion (2^{d/2-1},1) has size d-1, so it can never
-        # match a partition of d; matched literally and logged
-        notes.append("exclusion (2^{d/2-1},1) has size d-1; no nu ⊢ d matches it")
-
-    table = extract_b_connected(h, d, mus, nu, cache)
-    clauses = []
-
-    def gap_clause(cid, lo, hi):
-        bad = _gap(table, lo, hi)
-        clause = {
-            "id": cid, "kind": "gap", "interval": [str(lo), str(hi)],
-            "pass": not bad, "violations": bad,
-        }
-        if lo >= hi:
-            clause["note"] = "empty interval: lower edge ≥ upper edge, nothing checked"
-        clauses.append(clause)
-
-    def value_clause(cid, m, expected):
-        got = table.coefficient(m)
-        clauses.append({
-            "id": cid, "kind": "value", "m": str(m),
-            "expected": str(expected), "got": str(got), "pass": got == expected,
-        })
-
-    if conj == "cH4":
-        m_mid = Fraction(fact * m1nu, d * z)
-        m_low = Fraction(fact * (m1nu - 1), (d - 1) * z)
-        gap_clause(1, m_mid, top)
-        gap_clause(2, m_low, m_mid)
-        value_clause(3, m_mid, -val_d)
-        if not (d % 2 == 0 and nu == Partition([2] * (d // 2 - 1) + [1, 1])):
-            value_clause(4, m_low, val_d1)
-        else:
-            notes.append("value clause at the lower edge skipped: nu=(2^{d/2-1},1^2)")
-    elif conj == "cH9":
-        m_mid = Fraction(d * factorial(d - 2), z)
-        gap_clause(1, m_mid, top)
-        value_clause(2, m_mid, val_d1)
-    else:
-        m_mid = Fraction(factorial(d - 1), z)
-        gap_clause(1, m_mid, top)
-        value_clause(2, m_mid, val_d1)
-        if m2nu != 1:
-            gap_clause(3, Fraction(2 * d * m2nu * factorial(d - 3), z), m_mid)
-        if m2nu == 0:
-            gap_clause(4, Fraction(2 * factorial(d - 1), (d - 3) * z), m_mid)
-
-    mark_vacuous(table, clauses)
-    failing = [c for c in clauses if not c["pass"]]
-    return {
-        "conjecture": conj,
-        "params": {"d": d, "nu": str(nu), "h": h, "mus": [str(m) for m in mus],
-                   "parity": "even" if table.parity == 0 else "odd"},
-        "clauses": clauses,
-        "notes": notes,
-        "counterexample": failing[0] if failing else None,
-        "pass": not failing,
-    }

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import ExactnessError
 from .partitions import Partition
@@ -44,12 +44,6 @@ class YoungTree:
         }
 
 
-def _check_inside(lam: Partition, boxes: Iterable[Box]) -> None:
-    for b in boxes:
-        if not lam.contains_box(b.row, b.col):
-            raise ValueError(f"box {tuple(b)} lies outside the diagram {lam}")
-
-
 def _runs(boxes: tuple[Box, ...]) -> tuple[list[list[Box]], list[list[Box]]]:
     """Boxes grouped by row and by column, each group sorted along the line."""
     rows: dict[int, list[Box]] = {}
@@ -60,23 +54,6 @@ def _runs(boxes: tuple[Box, ...]) -> tuple[list[list[Box]], list[list[Box]]]:
     row_groups = [sorted(g, key=lambda b: b.col) for _, g in sorted(rows.items())]
     col_groups = [sorted(g, key=lambda b: b.row) for _, g in sorted(cols.items())]
     return row_groups, col_groups
-
-
-def induced_graph(lam: Partition, boxes: Iterable[Box]) -> list[tuple[Box, Box]]:
-    """Edges of the row/column-adjacency graph on the given boxes.
-
-    Within a line, exactly the consecutive chosen boxes are joined (any box
-    strictly between two others blocks their edge).
-    """
-    bs = tuple(Box(*b) for b in boxes)
-    _check_inside(lam, bs)
-    if len(set(bs)) != len(bs):
-        raise ValueError("boxes must be distinct")
-    row_groups, col_groups = _runs(bs)
-    edges = []
-    for group in row_groups + col_groups:
-        edges.extend(zip(group, group[1:]))
-    return edges
 
 
 def _tree_from_boxes(bs: tuple[Box, ...]) -> YoungTree | None:
@@ -169,23 +146,6 @@ def frobenius_central_character(r: int, lam: Partition) -> int:
     return num // den
 
 
-def straighten(lam: Partition, box: Box) -> Box:
-    """Image of a box under the row-unfolding map into the hook diagram
-    (d+1−l(λ), 1^{l(λ)−1}).
-
-    Boxes in the first row or column stay put; any other box of row i moves
-    to row 1 at column Σ_{k<i} λ_k − i + j + 1, appending the tail of row i
-    right after everything already unfolded.  The map is a bijection onto
-    the hook's boxes.
-    """
-    b = Box(*box)
-    if not lam.contains_box(b.row, b.col):
-        raise ValueError(f"box {tuple(b)} lies outside the diagram {lam}")
-    if b.row == 1 or b.col == 1:
-        return b
-    return Box(1, sum(lam.parts[: b.row - 1]) - b.row + b.col + 1)
-
-
 def count_straight_trees(lam: Partition, r: int) -> int:
     """Number of Young trees lying in a single row or column.
 
@@ -199,19 +159,11 @@ def count_straight_trees(lam: Partition, r: int) -> int:
     return sum(comb(v, r) for v in lam.parts) + sum(comb(v, r) for v in lam.conjugate().parts)
 
 
-def hook_envelope(lam: Partition) -> Partition:
-    """The hook diagram (d+1−l(λ), 1^{l(λ)−1}) that the straightening map targets."""
-    return Partition([lam.size + 1 - lam.length] + [1] * (lam.length - 1))
-
-
 __all__ = [
     "Box",
     "YoungTree",
-    "induced_graph",
     "enumerate_trees",
     "central_character_from_trees",
     "frobenius_central_character",
-    "straighten",
     "count_straight_trees",
-    "hook_envelope",
 ]

@@ -22,18 +22,25 @@ The Fraction scan is the ratio sweeps' λ-scan with every comparison made on
 Fractions, one pair at a time, against which the library's integer
 cross-multiplication is checked.  It reads χ by the entry recursion, while
 the sweeps read it from character_ratio's columns.
+
+The diagram helpers (the induced row/column graph on chosen boxes, the
+row-unfolding map into the hook, and the hook it targets) are the tree
+definitions written out box by box; the library's tree enumeration builds
+edges from its own line runs, and the tests check it against these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from snhurwitz.characters import CharCache, central_character, character_ratio
 from snhurwitz.errors import SizeMismatchError, SupportError
 from snhurwitz.hurwitz import ConnectedComputer
 from snhurwitz.partitions import Partition, dimension, partitions_of
 from snhurwitz.structure import _check_nu, _prefactor, _resolve_parity, _sample_exponents
+from snhurwitz.young_trees import Box, _runs
 
 
 _ENTRY_MEMO: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -232,3 +239,47 @@ def scan_fractions(lams: list[Partition], mu: Partition, bound
         if best is None or ratio > best[0]:
             best = (ratio, lam)
     return at_or_above, best
+
+
+def _check_inside(lam: Partition, boxes: Iterable[Box]) -> None:
+    for b in boxes:
+        if not lam.contains_box(b.row, b.col):
+            raise ValueError(f"box {tuple(b)} lies outside the diagram {lam}")
+
+
+def induced_graph(lam: Partition, boxes: Iterable[Box]) -> list[tuple[Box, Box]]:
+    """Edges of the row/column-adjacency graph on the given boxes.
+
+    Within a line, exactly the consecutive chosen boxes are joined (any box
+    strictly between two others blocks their edge).
+    """
+    bs = tuple(Box(*b) for b in boxes)
+    _check_inside(lam, bs)
+    if len(set(bs)) != len(bs):
+        raise ValueError("boxes must be distinct")
+    row_groups, col_groups = _runs(bs)
+    edges = []
+    for group in row_groups + col_groups:
+        edges.extend(zip(group, group[1:]))
+    return edges
+
+
+def straighten(lam: Partition, box: Box) -> Box:
+    """Image of a box under the row-unfolding map into the hook diagram
+    (d+1−l(λ), 1^{l(λ)−1}).
+
+    Boxes in the first row or column stay put; any other box of row i moves
+    to row 1 at column Σ_{k<i} λ_k − i + j + 1, appending the tail of row i
+    right after everything already unfolded.  The map is a bijection onto
+    the hook's boxes.
+    """
+    b = Box(*box)
+    _check_inside(lam, [b])
+    if b.row == 1 or b.col == 1:
+        return b
+    return Box(1, sum(lam.parts[: b.row - 1]) - b.row + b.col + 1)
+
+
+def hook_envelope(lam: Partition) -> Partition:
+    """The hook diagram (d+1−l(λ), 1^{l(λ)−1}) that the straightening map targets."""
+    return Partition([lam.size + 1 - lam.length] + [1] * (lam.length - 1))

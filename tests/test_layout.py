@@ -1,0 +1,73 @@
+"""The package's layering, read from its source with `ast`.
+
+`verify` holds the ratio sweeps and their bounds and sits below
+`structure`, which reads those bounds; `hurwitz` sits below both.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "snhurwitz"
+
+
+def _internal_imports() -> dict[str, set[str]]:
+    """{module: the package modules it imports}, for every module of the
+    package; `from . import x` counts as an import of module x."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    graph = {}
+    for name in modules:
+        edges = set()
+        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is not None:
+                    edges.add(node.module.split(".")[0])
+                else:
+                    edges.update(a.name for a in node.names if a.name in modules)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("snhurwitz."):
+                edges.add(node.module.split(".")[1])
+            elif isinstance(node, ast.Import):
+                edges.update(a.name.split(".")[1] for a in node.names if a.name.startswith("snhurwitz."))
+        graph[name] = edges & modules
+    return graph
+
+
+def _cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One import cycle as a path of module names, or None."""
+    state: dict[str, int] = {}  # 1 on the current path, 2 finished
+    path: list[str] = []
+
+    def visit(node: str) -> list[str] | None:
+        state[node] = 1
+        path.append(node)
+        for nxt in sorted(graph[node]):
+            if state.get(nxt) == 1:
+                return path[path.index(nxt):] + [nxt]
+            if nxt not in state and (found := visit(nxt)):
+                return found
+        path.pop()
+        state[node] = 2
+        return None
+
+    for node in sorted(graph):
+        if node not in state and (found := visit(node)):
+            return found
+    return None
+
+
+def test_graph_is_read_from_the_source():
+    graph = _internal_imports()
+    # both import forms are read: `from . import x` and `from .x import y`
+    assert "verify" in graph and "structure" in graph["cli"] and "hurwitz" in graph["structure"]
+
+
+def test_internal_imports_have_no_cycle():
+    assert _cycle(_internal_imports()) is None
+
+
+def test_cycle_finder_reports_a_cycle():
+    assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": set()}) == ["a", "b", "c", "a"]
+    assert _cycle({"a": {"b"}, "b": set()}) is None
+
+
+def test_verify_sits_below_structure_and_hurwitz():
+    assert not _internal_imports()["verify"] & {"structure", "hurwitz"}

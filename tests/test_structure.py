@@ -8,6 +8,7 @@ from snhurwitz.errors import GenusError, HypothesisError
 from snhurwitz.hurwitz import CoverSpec, RepeatedSpec, brute_force_connected, disconnected
 from snhurwitz.partitions import Partition, dimension, partitions_of
 from snhurwitz.structure import (
+    _moduli,
     _prefactor,
     _resolve_parity,
     _sample_exponents,
@@ -268,6 +269,36 @@ def test_t6(cache):
     for h in (0, 1):
         rep = verify_theorem("T6", h=h, d=7, cache=cache)
         assert rep["pass"], rep["counterexample"]
+
+
+def test_moduli_match_the_literal_closed_forms():
+    # the rungs and gap edges are derived from d!/z_ν, m₁(ν)/d and conjecture
+    # 1's bounds; here each derivation meets the closed form it replaced
+    f = factorial
+    for d in range(7, 31):
+        for r in range(2, d - 1):  # T1 and PropDH
+            top, pair, below = _moduli(d, P([r] + [1] * (d - r)))
+            assert top == Fraction(f(d), r * f(d - r))
+            assert pair == Fraction(f(d - 1), r * f(d - r - 1))
+            assert below[1] == Fraction((d - r - 1) * f(d), r * (d - 1) * f(d - r))
+        top, pair, below = _moduli(d, P([d - 1, 1]))  # T5
+        assert (top, pair, below[3]) == (d * f(d - 2), f(d - 2), 2 * (d - 2) * f(d - 4))
+        top, _, below = _moduli(d, P([d]))  # T6
+        assert (top, below[1]) == (f(d - 1), f(d - 2))
+    for d in range(10, 21):
+        for nu in partitions_of(d):
+            z, m1, m2 = nu.centralizer_order(), nu.multiplicity(1), nu.multiplicity(2)
+            top, pair, below = _moduli(d, nu)
+            assert top == Fraction(f(d), z)
+            if m1 >= 2:  # cH4
+                assert pair == Fraction(f(d) * m1, d * z)
+                assert below[1] == Fraction(f(d) * (m1 - 1), (d - 1) * z)
+            elif m1 == 0:  # cH9
+                assert below[1] == Fraction(d * f(d - 2), z)
+            else:  # cH11
+                assert pair == Fraction(f(d - 1), z)
+                assert below[2] == Fraction(2 * d * m2 * f(d - 3), z)
+                assert below[3] == Fraction(2 * f(d - 1), (d - 3) * z)
 
 
 def test_report_shape_is_json_ready(cache):

@@ -10,15 +10,15 @@ from snhurwitz.errors import HypothesisError
 from snhurwitz.partitions import Partition, partitions_of
 from snhurwitz.verify import (
     _conjecture1_clause,
-    _rm2_bound,
     _scan,
     check_conjecture1,
-    check_conjecture_b,
     check_lemma_l1,
     check_lemma_rm2,
     check_theorem_B,
+    ratio_bound,
     sweep_lemma_l1,
 )
+from snhurwitz.structure import _between, _moduli, check_conjecture_b, extract_b_connected
 from snhurwitz.young_trees import frobenius_central_character
 
 P = Partition
@@ -44,8 +44,9 @@ def test_scan_matches_fraction_oracle(cache):
                 clause = _conjecture1_clause(d, mu)
                 if not isinstance(clause, str):
                     bounds.append(clause[1])
-                if mu.parts[0] >= 2 and mu.colength == mu.parts[0] - 1:
-                    bounds.append(_rm2_bound(d, mu.parts[0]))
+                r = mu.parts[0]
+                if r >= 2 and mu.colength == r - 1:
+                    bounds.append(ratio_bound(d, 3)[0] if r == d - 1 else ratio_bound(d, 1, d - r)[0])
             for lams in (every, inner) if inner else (every,):
                 for bound in bounds:
                     assert _exact(_scan(lams, mu, bound, cache)) == \
@@ -208,6 +209,62 @@ def test_conjecture1_ignores_jobs(cache):
     plain = check_conjecture1(10, cache).to_json()
     del with_jobs["runtime"], plain["runtime"]
     assert with_jobs == plain
+
+
+def test_lemma_rm2_is_conjecture1_on_hook_classes():
+    # on (r,1^{d−r}) conjecture 1 reads clause 3 at r = d−1 and clause 1
+    # elsewhere, with lemma rm2's literal bounds and equality sets
+    for d in range(7, 31):
+        for r in range(2, d + 1):
+            clause = _conjecture1_clause(d, P([r] + [1] * (d - r)))
+            if r == d - 1:
+                assert clause == (3, Fraction(2, d * (d - 3)), [P([d - 2, 2]), P([2, 2] + [1] * (d - 4))])
+            else:
+                assert clause == (1, Fraction(abs(d - r - 1), d - 1), [P([d - 1, 1]), P([2] + [1] * (d - 2))])
+
+
+def test_conjecture1_leaves_m1_m2_one_uncovered(cache):
+    # clause 2 is applied only when m₂ ≥ 2, so every m₁ = m₂ = 1 class is
+    # skipped, and clause 2's exclusion (3^{d/3−1},2,1), whose m₂ is 1, is
+    # never reached
+    rep = check_conjecture1(12, cache)
+    assert {"mu": "3,3,3,2,1", "reason": "m_1(mu)=1, m_2(mu)=1 is covered by no clause"} in rep.skipped
+    for d in range(10, 19):
+        for mu in partitions_of(d):
+            assert _conjecture1_clause(d, mu) != "excluded: (3^{d/3-1},2,1)", mu
+
+
+def test_clause2_bound_holds_at_m2_one_except_the_exclusion(cache):
+    # the guard's skipped classes satisfy clause 2 as written, with its
+    # equality set; only the stated exclusion (3^{d/3−1},2,1) breaks it
+    for d in range(10, 14):
+        lams = [lam for lam in partitions_of(d) if lam not in (P([d]), P([1] * d))]
+        bound, eq = ratio_bound(d, 2, 1)
+        assert bound == Fraction(2, (d - 1) * (d - 2))
+        for mu in partitions_of(d):
+            if not mu.multiplicity(1) == mu.multiplicity(2) == 1:
+                continue
+            hits, (top, argmax) = _scan(lams, mu, bound, cache)
+            above = [str(lam) for lam, x in hits if x > bound]
+            if mu == P([3, 3, 3, 2, 1]):
+                assert len(above) == 4 and (top, argmax) == (Fraction(1, 44), P([6, 6]))
+            else:
+                assert not above, mu
+                assert [lam for lam, x in hits if x == bound] == sorted(eq, key=lams.index), mu
+
+
+def test_ch11_clause3_gap_holds_at_m2_one_except_the_exclusion(cache):
+    # cH11 clause 3 (guarded by m₂ ≠ 1) asserts a gap below (d−1)!/z from
+    # d!/z_ν·B₂(m₂); at m₂ = 1 that gap is empty on every family but the
+    # excluded (3^{d/3−1},2,1)
+    for d in range(10, 13):
+        for nu in partitions_of(d):
+            if not nu.multiplicity(1) == nu.multiplicity(2) == 1:
+                continue
+            table = extract_b_connected(0, d, (), nu, cache)
+            _, pair, below = _moduli(d, nu)
+            inside = {m: table.coefficient(m) for m in _between(table, below[2], pair)}
+            assert inside == ({28800: 23716, 33600: 17424} if nu == P([3, 3, 3, 2, 1]) else {}), nu
 
 
 def test_ch4_reduces_to_theorem1_clauses(cache):

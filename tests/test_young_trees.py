@@ -2,6 +2,7 @@ from math import comb, factorial
 
 import pytest
 
+from oracles import hook_envelope, induced_graph, straighten
 from snhurwitz.characters import one_cycle_central_character
 from snhurwitz.partitions import Partition, partitions_of
 from snhurwitz.young_trees import (
@@ -10,9 +11,6 @@ from snhurwitz.young_trees import (
     count_straight_trees,
     enumerate_trees,
     frobenius_central_character,
-    hook_envelope,
-    induced_graph,
-    straighten,
 )
 
 P = Partition
