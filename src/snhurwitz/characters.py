@@ -10,9 +10,12 @@ of the beads strictly between.
 
 `chi`, `chi_column` (behind `cache warm`) and `character_ratio` read the
 same columns, memoized on (d, μ-suffix) in the `CharCache` passed in.
-`walk_columns` visits every μ ⊢ d by a depth-first walk of the suffix tree
-that keeps only the columns on its path in that memo; the conjecture 1 and
-theorem B sweeps read their columns from it, in bounded memory.
+`_column` is the one constructor of a χ column: it grows μ's column from
+that of μ's suffix μ[1:].  `walk_columns` visits every μ ⊢ d by a
+depth-first walk of the suffix tree that builds each column through
+`_column` from the parent column it holds, and keeps only the columns on
+its path in that memo; the conjecture 1 and theorem B sweeps read their
+columns from it, in bounded memory.
 `central_column` keeps a second memo on the same cache: columns of
 class-sum eigenvalues {λ parts: f_μ(λ)}, each built once per μ from μ's χ
 column with every value checked to be an integer; `central_character` and
@@ -29,7 +32,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import CeilingError, ExactnessError, SizeMismatchError
-from .partitions import Partition, _dimension, _partition_tuples, dimension
+from .partitions import DEFAULT_ENUMERATION_CEILING, Partition, _dimension, _partition_tuples, dimension
 
 
 class CharCache:
@@ -49,7 +52,7 @@ class CharCache:
     The degree-0 column and the central columns are not counted.
     """
 
-    def __init__(self, path=None, max_degree: int = 30):
+    def __init__(self, path=None, max_degree: int = DEFAULT_ENUMERATION_CEILING):
         if path is not None:
             raise ValueError("the character memo is in memory only; path must be None")
         self.max_degree = max_degree
@@ -121,46 +124,40 @@ def walk_columns(d: int, cache: CharCache | None = None) -> Iterator[tuple[int, 
 
     The μ-suffixes are walked depth first: a child (a,) + s of suffix s has
     a ≥ s[0], and the parts still to add number 0 or are each ≥ a.  Each
-    column is grown from its parent's, and a column the walk added is
-    dropped once its subtree is done, also when the walk is closed early;
-    columns already in the memo stay.  So at most one column per suffix
-    length is held, rather than every suffix's.  The ceiling is checked
+    column is built by `_column` from its parent's, which the walk holds in
+    the memo, and a column the walk added is dropped once its subtree is
+    done, also when the walk is closed early; columns already in the memo
+    stay.  So at most one column per suffix length is held, rather than
+    every suffix's.  The ceiling is checked
     when the walk is made, before any column is built.
     """
     memo = _checked(d, cache)._values
 
-    def visit(mu: tuple[int, ...], parent: dict[int, int] | None, rest: int) -> Iterator[tuple[int, ...]]:
-        key = (d, mu)
-        column = memo.get(key)
-        added = column is None
-        if added:
-            memo[key] = column = _grow(parent, mu[0]) if mu else {(1 << d) - 1: 1}
+    def visit(mu: tuple[int, ...], rest: int) -> Iterator[tuple[int, ...]]:
+        added = (d, mu) not in memo
+        _column(d, mu, memo)
         try:
             if rest:
                 for a in (*range(mu[0] if mu else 1, rest // 2 + 1), rest):
-                    yield from visit((a,) + mu, column, rest - a)
+                    yield from visit((a,) + mu, rest - a)
             else:
                 yield mu
         finally:
             if added:
-                del memo[key]
+                del memo[(d, mu)]
 
-    return visit((), None, d)
+    return visit((), d)
 
 
-def _lookup(lam: Partition, mu: Partition, cache: CharCache | None) -> int:
-    """χ_λ(μ) from μ's column, with size and ceiling checked before any walk."""
+def chi(lam: Partition, mu: Partition, cache: CharCache | None = None) -> int:
+    """Irreducible character value χ_λ(μ), read from μ's column, with size
+    and ceiling checked before any walk.  Requires |λ| = |μ|."""
     if lam.size != mu.size:
         raise SizeMismatchError(f"|λ|={lam.size} but |μ|={mu.size}")
     cache = cache or _DEFAULT_CACHE
     if lam.size > cache.max_degree:
         raise CeilingError(f"degree {lam.size} exceeds cache ceiling {cache.max_degree}")
     return _column(lam.size, mu.parts, cache._values).get(_bead_mask(lam.parts), 0)
-
-
-def chi(lam: Partition, mu: Partition, cache: CharCache | None = None) -> int:
-    """Irreducible character value χ_λ(μ), read from μ's column.  Requires |λ| = |μ|."""
-    return _lookup(lam, mu, cache)
 
 
 def chi_column(mu: Partition, cache: CharCache | None = None) -> tuple[int, ...]:
@@ -222,4 +219,4 @@ def one_cycle_central_character(r: int, lam: Partition, cache: CharCache | None 
 
 def character_ratio(lam: Partition, mu: Partition, cache: CharCache | None = None) -> Fraction:
     """χ_λ(μ)/dim λ as an exact rational (signed), read from μ's column."""
-    return Fraction(_lookup(lam, mu, cache), dimension(lam))
+    return Fraction(chi(lam, mu, cache), dimension(lam))

@@ -243,7 +243,7 @@ def _orbit_count(d: int, track_orbits: bool) -> int:
     return ways[d]
 
 
-def _count_tuples(spec: CoverSpec, budget: int, track_orbits: bool) -> Fraction:
+def _count_tuples(spec: CoverSpec, track_orbits: bool) -> Fraction:
     """(1/d!)·#tuples with product the identity, over a distribution on the
     conjugation orbits of states (partial product, orbit partition): a
     θ-point moves the mass of each orbit along its transitions by θ."""
@@ -261,8 +261,8 @@ def _count_tuples(spec: CoverSpec, budget: int, track_orbits: bool) -> Fraction:
         ops += orbits * (size + n * min(size, orbits))
     if spec.h:
         ops += _orbit_count(d, False) * factorial(d)
-    if ops > budget:
-        raise BudgetError(f"estimated {ops} transitions exceed the budget {budget}")
+    if ops > DEFAULT_BF_BUDGET:
+        raise BudgetError(f"estimated {ops} transitions exceed the budget {DEFAULT_BF_BUDGET}")
     dist = dict(_start(d, spec.h, track_orbits))
     for theta in spec.profiles:
         new: dict = {}
@@ -273,18 +273,18 @@ def _count_tuples(spec: CoverSpec, budget: int, track_orbits: bool) -> Fraction:
     return Fraction(dist.get(((1,) * d,), 0), factorial(d))
 
 
-def brute_force_disconnected(spec: CoverSpec, budget: int = DEFAULT_BF_BUDGET) -> Fraction:
+def brute_force_disconnected(spec: CoverSpec) -> Fraction:
     """(1/d!) · #{(α_1,β_1,…,α_h,β_h,σ_1,…,σ_n) with ∏[α,β]·∏σ = identity},
     counted by advancing the distribution of partial products' cycle types
     one σ-point at a time; d ≤ 8 and h ≤ 1."""
-    return _count_tuples(spec, budget, track_orbits=False)
+    return _count_tuples(spec, track_orbits=False)
 
 
-def brute_force_connected(spec: CoverSpec, budget: int = DEFAULT_BF_BUDGET) -> Fraction:
+def brute_force_connected(spec: CoverSpec) -> Fraction:
     """As brute_force_disconnected, restricted to tuples whose entries
     generate a transitive subgroup: the joined orbit partition is tracked
     through the count, and the state is the conjugation orbit of both."""
-    return _count_tuples(spec, budget, track_orbits=True)
+    return _count_tuples(spec, track_orbits=True)
 
 
 # ---------------------------------------------------------------------------

@@ -158,12 +158,12 @@ def _partition_tuples(d: int, max_part: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def partitions_of(d: int, ceiling: int = DEFAULT_ENUMERATION_CEILING) -> list[Partition]:
+def partitions_of(d: int) -> list[Partition]:
     """All partitions of d in descending lexicographic order: (d) first, (1^d) last."""
     if d < 0:
         raise ValueError("d must be nonnegative")
-    if d > ceiling:
-        raise CeilingError(f"d={d} exceeds the enumeration ceiling {ceiling}")
+    if d > DEFAULT_ENUMERATION_CEILING:
+        raise CeilingError(f"d={d} exceeds the enumeration ceiling {DEFAULT_ENUMERATION_CEILING}")
     return [Partition(t) for t in _partition_tuples(d, d if d else 1)]
 
 

@@ -28,7 +28,7 @@ from .characters import CharCache, central_column
 from .characters import central_character  # noqa: F401  (rebound by bench/workloads.py's tracing)
 from .characters import character_ratio  # noqa: F401  (rebound by bench/workloads.py's tracing)
 from .errors import GenusError, HypothesisError, SizeMismatchError, SupportError
-from .hurwitz import ConnectedComputer, CoverSpec, disconnected
+from .hurwitz import ConnectedComputer, CoverSpec, RepeatedSpec, connected, disconnected
 from .partitions import Partition
 from .verify import ratio_bound
 
@@ -443,8 +443,6 @@ def asymptotic_ratio(
 ) -> Fraction:
     """Connected Hurwitz number divided by its closed-form leading term
     2·d!^{s+2h−2}/∏z_{μ^(i)} · (d!/z_ν)^k at source genus g."""
-    from .hurwitz import RepeatedSpec, connected
-
     mus = tuple(mus)
     spec = RepeatedSpec(CoverSpec(h, d, mus), nu, g=g)
     k = spec.point_count()

@@ -8,9 +8,12 @@ can compare extremizers against desk-scale ones.
 
 `ratio_bound` writes conjecture 1's three bounds, each with the two λ that
 attain it, and is the one place they are written: conjecture 1 reads them
-per class, lemma rm2 is clauses 1 and 3 on the classes (r,1^{d−r}), and
-`structure` scales them by d!/z_ν into the moduli that the table
-statements and the coefficient-gap conjectures name.
+per class through `_conjecture1_clause`, lemma rm2 is that clause read on
+the classes (r,1^{d−r}), and `structure` scales them by d!/z_ν into the
+moduli that the table statements and the coefficient-gap conjectures name.
+Lemma rm2, theorem B (bound 1, attained at (d) and (1^d)) and conjecture 1
+judge every class through `_judge`, the one place that counts the pairs
+checked and records violations and equality mismatches.
 
 The conjecture 1 and theorem B sweeps read every class's column: they take
 μ from `characters.walk_columns`, which holds one χ column per suffix
@@ -106,6 +109,24 @@ def _walk_scans(d: int, lams: list[Partition], bounds: dict[tuple[int, ...], Fra
             for parts in walk_columns(d, cache) if parts in bounds}
 
 
+def _judge(report: BoundReport, key: dict, lams: list[Partition],
+           hits: list[tuple[Partition, Fraction]], bound, expected) -> set[str]:
+    """Record one class's _scan hits in report: its len(lams) pairs as
+    checked, each λ above the bound as a violation {**key, lambda, ratio,
+    bound}, and the λ at the bound, unless they are the expected ones, as a
+    mismatch {**key, expected, observed}.  Returns the λ at the bound."""
+    report.checked += len(lams)
+    report.violations.extend(
+        {**key, "lambda": str(lam), "ratio": str(ratio), "bound": str(bound)}
+        for lam, ratio in hits if ratio > bound
+    )
+    observed = {str(lam) for lam, ratio in hits if ratio == bound}
+    expected = {str(p) for p in expected}
+    if observed != expected:
+        report.equality_mismatches.append({**key, "expected": sorted(expected), "observed": sorted(observed)})
+    return observed
+
+
 def check_lemma_l1(lam: Partition, r: int, cache: CharCache | None = None) -> dict:
     """One straight-tree bound entry: |χ_λ(r,1^{d−r})|/dim λ against
     1/(r−1) + (r−2)/(r−1) · (Σ C(λ_i,r) + Σ C(λ'_i,r))/C(d,r)."""
@@ -165,9 +186,10 @@ def ratio_bound(d: int, clause: int, m: int = 0) -> tuple[Fraction, list[Partiti
 def check_lemma_rm2(d: int, cache: CharCache | None = None) -> BoundReport:
     """Second character-ratio bound for every class (r,1^{d−r}), 2 ≤ r ≤ d.
 
-    This is conjecture 1 on those classes: clause 3 at r = d−1 (m₁ = 1,
-    m₂ = 0), where the bound is 2/(d(d−3)), and clause 1 at m₁ = d−r
-    elsewhere, |d−r−1|/(d−1); the equality sets are checked exactly.
+    This is conjecture 1 on those classes, read from `_conjecture1_clause`:
+    clause 3 at r = d−1 (m₁ = 1, m₂ = 0), where the bound is 2/(d(d−3)),
+    and clause 1 at m₁ = d−r elsewhere, |d−r−1|/(d−1); the equality sets
+    are checked exactly.
     """
     if d < 7:
         raise HypothesisError(f"needs d ≥ 7, got {d}")
@@ -176,20 +198,11 @@ def check_lemma_rm2(d: int, cache: CharCache | None = None) -> BoundReport:
     extreme = Partition([d]), Partition([1] * d)
     lams = [lam for lam in partitions_of(d) if lam not in extreme]
     for r in range(2, d + 1):
-        bound, eq_expected = ratio_bound(d, 3) if r == d - 1 else ratio_bound(d, 1, d - r)
-        hits, (top, argmax) = _scan(lams, Partition([r] + [1] * (d - r)), bound, cache)
-        report.checked += len(lams)
-        report.violations.extend(
-            {"r": r, "lambda": str(lam), "ratio": str(ratio), "bound": str(bound)}
-            for lam, ratio in hits if ratio > bound
-        )
-        expected_eq = {str(p) for p in eq_expected}
-        observed_eq = {str(lam) for lam, ratio in hits if ratio == bound}
-        if observed_eq != expected_eq:
-            report.equality_mismatches.append(
-                {"r": r, "expected": sorted(expected_eq), "observed": sorted(observed_eq)}
-            )
-        report.equality_set.append({"r": r, "lambdas": sorted(observed_eq)})
+        mu = Partition([r] + [1] * (d - r))
+        _, bound, expected = _conjecture1_clause(d, mu)
+        hits, (top, argmax) = _scan(lams, mu, bound, cache)
+        observed = _judge(report, {"r": r}, lams, hits, bound, expected)
+        report.equality_set.append({"r": r, "lambdas": sorted(observed)})
         report.extremal.append({"r": r, "max_ratio": str(top), "argmax": str(argmax)})
     report.runtime_seconds = time.perf_counter() - start
     return report
@@ -198,6 +211,8 @@ def check_lemma_rm2(d: int, cache: CharCache | None = None) -> BoundReport:
 def check_theorem_B(d: int, cache: CharCache | None = None) -> BoundReport:
     """|χ_λ(μ)|/dim λ ≤ 1 for μ ≠ (1^d), equality exactly at λ=(d),(1^d).
 
+    A ratio above 1 is a violation; any other λ at ratio exactly 1 is an
+    equality mismatch, as in the other class sweeps.
     μ is scanned in the order of the depth-first column walk, which leaves
     the χ memo as it found it; the report runs in partitions_of order.
     """
@@ -209,19 +224,8 @@ def check_theorem_B(d: int, cache: CharCache | None = None) -> BoundReport:
     lams = partitions_of(d)
     scans = _walk_scans(d, lams, {mu.parts: 1 for mu in lams if mu.colength}, cache)
     for mu in lams:
-        if mu.colength == 0:
-            continue
-        hits, _ = scans[mu.parts]
-        report.checked += len(lams)
-        report.violations.extend(
-            {"mu": str(mu), "lambda": str(lam), "ratio": str(ratio)}
-            for lam, ratio in hits if ratio > 1 or str(lam) not in extreme
-        )
-        observed_eq = {str(lam) for lam, ratio in hits if ratio == 1}
-        if observed_eq != extreme:
-            report.equality_mismatches.append(
-                {"mu": str(mu), "expected": sorted(extreme), "observed": sorted(observed_eq)}
-            )
+        if mu.colength:
+            _judge(report, {"mu": str(mu)}, lams, scans[mu.parts][0], 1, extreme)
     report.equality_set = sorted(extreme)
     report.runtime_seconds = time.perf_counter() - start
     return report
@@ -275,19 +279,7 @@ def check_conjecture1(d: int, cache: CharCache | None = None, jobs: int = 1) -> 
             continue
         cid, bound, eq_expected = clause
         hits, (top, argmax) = scans[mu.parts]
-        report.checked += len(lams)
-        report.violations.extend(
-            {"mu": str(mu), "clause": cid, "lambda": str(lam),
-             "ratio": str(ratio), "bound": str(bound)}
-            for lam, ratio in hits if ratio > bound
-        )
-        observed = {str(lam) for lam, ratio in hits if ratio == bound}
-        expected = {str(p) for p in eq_expected}
-        if observed != expected:
-            report.equality_mismatches.append(
-                {"mu": str(mu), "clause": cid,
-                 "expected": sorted(expected), "observed": sorted(observed)}
-            )
+        _judge(report, {"mu": str(mu), "clause": cid}, lams, hits, bound, eq_expected)
         report.equality_set.append({"mu": str(mu), "clause": cid})
         report.extremal.append(
             {"mu": str(mu), "max_ratio": str(top), "argmax": str(argmax), "bound": str(bound)}

@@ -212,13 +212,16 @@ def test_brute_force_examples():
     assert brute_force_connected(CoverSpec(0, 3, (P([3]), P([3])))) == Fraction(1, 3)
 
 
-def test_brute_force_budget_guard():
+def test_brute_force_budget_guard(monkeypatch):
     with pytest.raises(BudgetError):
         brute_force_disconnected(CoverSpec(0, 9, ()))
     with pytest.raises(BudgetError):
         brute_force_disconnected(CoverSpec(2, 4, ()))
-    with pytest.raises(BudgetError):
-        brute_force_connected(CoverSpec(1, 5, (P([2, 1, 1, 1]),)), budget=10)
+    # an estimate of 4,193,907 transitions, just above the default budget,
+    # is refused before any transition is counted
+    monkeypatch.setattr(hurwitz, "_transitions", lambda *args: pytest.fail("a transition was counted"))
+    with pytest.raises(BudgetError, match="estimated 4193907 transitions"):
+        brute_force_connected(CoverSpec(1, 8, (P([8]), P([7, 1]), P([6, 2]))))
 
 
 def test_import_loads_no_numpy():

@@ -71,3 +71,14 @@ def test_cycle_finder_reports_a_cycle():
 
 def test_verify_sits_below_structure_and_hurwitz():
     assert not _internal_imports()["verify"] & {"structure", "hurwitz"}
+
+
+def test_grow_is_called_only_from_column():
+    # `_column` is the one constructor of a χ column; no other function
+    # calls or reads `_grow`
+    readers = set()
+    for func in ast.walk(ast.parse((PACKAGE / "characters.py").read_text())):
+        if isinstance(func, ast.FunctionDef):
+            readers.update(func.name for node in ast.walk(func)
+                           if isinstance(node, ast.Name) and node.id == "_grow")
+    assert readers == {"_column"}

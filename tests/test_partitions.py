@@ -81,7 +81,7 @@ def test_enumeration_counts_and_order():
 def test_enumeration_ceiling():
     with pytest.raises(CeilingError):
         partitions_of(31)
-    assert len(partitions_of(31, ceiling=31)) == 6842
+    assert len(partitions_of(30)) == 5604
 
 
 def splits(parts, d1):

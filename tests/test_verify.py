@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -221,6 +222,40 @@ def test_lemma_rm2_is_conjecture1_on_hook_classes():
                 assert clause == (3, Fraction(2, d * (d - 3)), [P([d - 2, 2]), P([2, 2] + [1] * (d - 4))])
             else:
                 assert clause == (1, Fraction(abs(d - r - 1), d - 1), [P([d - 1, 1]), P([2] + [1] * (d - 2))])
+
+
+def test_failing_report_shapes(monkeypatch):
+    # with every bound halved both class sweeps fail; their first violation
+    # and first equality mismatch keep the keys and order of their JSON
+    def halved(d, clause, m=0):
+        bound, lams = ratio_bound(d, clause, m)
+        return bound / 2, lams
+
+    monkeypatch.setattr(verify, "ratio_bound", halved)
+    rm2 = check_lemma_rm2(8, CharCache())
+    assert json.dumps(rm2.violations[0]) == \
+        '{"r": 2, "lambda": "7,1", "ratio": "5/7", "bound": "5/14"}'
+    assert json.dumps(rm2.equality_mismatches[0]) == \
+        '{"r": 2, "expected": ["2,1,1,1,1,1,1", "7,1"], "observed": ["2,2,2,1,1", "5,3"]}'
+    conj = check_conjecture1(10, CharCache())
+    assert json.dumps(conj.violations[0]) == \
+        '{"mu": "10", "clause": 1, "lambda": "9,1", "ratio": "1/9", "bound": "1/18"}'
+    assert json.dumps(conj.equality_mismatches[0]) == \
+        '{"mu": "10", "clause": 1, "expected": ["2,1,1,1,1,1,1,1,1", "9,1"], "observed": []}'
+    assert not rm2.passed and not conj.passed
+
+
+def test_theorem_b_reports_a_ratio_of_one_as_a_mismatch_only(monkeypatch):
+    # a λ ∉ {(d),(1^d)} at ratio exactly 1 is not above the bound: the
+    # report fails on one equality mismatch naming it, with no violation
+    def one_at_6_1(lam, mu, cache=None):
+        return Fraction(1) if (lam, mu) == (P([6, 1]), P([3, 2, 2])) else character_ratio(lam, mu, cache)
+
+    monkeypatch.setattr(verify, "character_ratio", one_at_6_1)
+    rep = check_theorem_B(7, CharCache())
+    assert not rep.passed and rep.violations == []
+    assert rep.equality_mismatches == [
+        {"mu": "3,2,2", "expected": ["1,1,1,1,1,1,1", "7"], "observed": ["1,1,1,1,1,1,1", "6,1", "7"]}]
 
 
 def test_conjecture1_leaves_m1_m2_one_uncovered(cache):
