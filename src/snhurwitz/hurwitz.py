@@ -5,7 +5,9 @@ counts from the degree-convolution recursion that peels off the component
 containing sheet 1, with repeated branch points aggregated by the multiset
 of per-point sub-profiles.  `ConnectedComputer` runs that recursion in two
 forms: on counts at one repeat count, and on tables of eigenfunctions that
-carry every repeat count at once, which `structure` folds into b(m).
+carry every repeat count at once (`t_table`, `tc_table`) below degree d,
+whose top level `fold` sums straight into {ν's eigenvalue: coefficient}
+for `structure` to fold into b(m).
 
 Independent permutation-level oracles count monodromy tuples directly,
 using no characters, in plain Python integers: a state (partial product r,
@@ -331,12 +333,13 @@ class NuSplitAlgebra:
         return self.types[tidx] + (1,) * (delta - self.tsum[tidx])
 
 
-def mu_splits(delta1: int, omegas: tuple):
-    """Yield (omegas1, omegas2) over exact multiset splits of each fixed profile,
+@lru_cache(maxsize=None)
+def mu_splits(delta1: int, omegas: tuple) -> tuple[tuple[tuple, tuple], ...]:
+    """(omegas1, omegas2) over exact multiset splits of each fixed profile,
     the first of each pair partitioning delta1."""
     per_profile = [[pair for pair in sub_multisets(om) if sum(pair[0]) == delta1] for om in omegas]
-    for pairs in product(*per_profile):
-        yield tuple(w1 for w1, _ in pairs), tuple(w2 for _, w2 in pairs)
+    return tuple((tuple(w1 for w1, _ in pairs), tuple(w2 for _, w2 in pairs))
+                 for pairs in product(*per_profile))
 
 
 @lru_cache(maxsize=None)
@@ -368,6 +371,10 @@ class ConnectedComputer:
     vector of those factors over all types is the piece's eigenfunction
     (`eig`), and a table maps eigenfunctions to exact coefficients.  Two
     pieces' eigenfunctions combine by `convolve` over the hand-off splits.
+    Only ν's own eigenvalue, the full type's entry, is read at degree d, so
+    `fold` computes just that entry of each top-level convolution and sums
+    the coefficients by it; `tc_table` builds whole eigenfunctions only
+    below the top (it still answers at degree d, for the tests).
 
     Both forms read every eigenvalue from the cache's central columns
     (`characters.central_column`); the per-point factors come from `eig`,
@@ -391,6 +398,7 @@ class ConnectedComputer:
         self._memo_t: dict = {}
         self._memo_tc: dict = {}
         self._eigs: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+        self._columns: dict[int, list[dict]] = {}
         self._t: dict = {}
         self._tc: dict = {}
 
@@ -474,19 +482,23 @@ class ConnectedComputer:
         key = (delta, lam.parts)
         hit = self._eigs.get(key)
         if hit is None:
-            alg, cache = self.algebra, self.cache
-            hit = tuple(
-                central_column(alg.point_profile(t, delta), cache).get(lam.parts, 0)
-                if alg.tsum[t] <= delta else 0
-                for t in range(len(alg.types))
-            )
+            columns = self._columns.get(delta)
+            if columns is None:
+                alg, cache = self.algebra, self.cache
+                columns = [central_column(alg.point_profile(t, delta), cache)
+                           if alg.tsum[t] <= delta else {} for t in range(len(alg.types))]
+                self._columns[delta] = columns
+            hit = tuple(column.get(lam.parts, 0) for column in columns)
             self._eigs[key] = hit
         return hit
 
-    def convolve(self, d1: int, e1: tuple[int, ...], d2: int, e2: tuple[int, ...]) -> tuple[int, ...]:
-        """The eigenfunction of a d1-sheet and a d2-sheet piece together."""
+    @staticmethod
+    def convolve(fit: list[list[tuple[int, int]]], e1: tuple[int, ...],
+                 e2: tuple[int, ...]) -> tuple[int, ...]:
+        """The eigenfunction of a d1-sheet and a d2-sheet piece together, for
+        the hand-off pairs fit = `NuSplitAlgebra.fitting(d1, d2)`."""
         out = []
-        for pairs in self.algebra.fitting(d1, d2):
+        for pairs in fit:
             acc = 0
             for b, rest in pairs:
                 acc += e1[b] * e2[rest]
@@ -514,19 +526,46 @@ class ConnectedComputer:
         if hit is not None:
             return hit
         table = dict(self.t_table(delta, omegas))
+        convolve = self.convolve
         for d1 in range(1, delta):
             d2 = delta - d1
             ways = comb(delta - 1, d1 - 1) * comb(delta, d1)
+            fit = self.algebra.fitting(d1, d2)
             for om1, om2 in mu_splits(d1, omegas):
-                first = self.tc_table(d1, om1)
-                rest = self.t_table(d2, om2)
-                for e1, c1 in first.items():
-                    for e2, c2 in rest.items():
-                        e = self.convolve(d1, e1, d2, e2)
-                        table[e] = table.get(e, 0) - ways * c1 * c2
+                rest = self.t_table(d2, om2).items()
+                for e1, c1 in self.tc_table(d1, om1).items():
+                    c1 *= ways
+                    for e2, c2 in rest:
+                        e = convolve(fit, e1, e2)
+                        table[e] = table.get(e, 0) - c1 * c2
         table = {e: c for e, c in table.items() if c}
         self._tc[key] = table
         return table
+
+    def fold(self, omegas: tuple) -> dict[int, int]:
+        """{f_ν eigenvalue t: coefficient} of the degree-d transitive table:
+        `tc_table(d, omegas)` with each eigenfunction read at the full
+        hand-off type, computed without building that table.  The top
+        level's convolutions compute only their full component, a dot
+        product over the full type's fitting pairs."""
+        d, full = self.d, self.algebra.full
+        out: dict[int, int] = {}
+        for e, c in self.t_table(d, omegas).items():
+            out[e[full]] = out.get(e[full], 0) + c
+        for d1 in range(1, d):
+            d2 = d - d1
+            ways = comb(d - 1, d1 - 1) * comb(d, d1)
+            pairs = self.algebra.fitting(d1, d2)[full]
+            for om1, om2 in mu_splits(d1, omegas):
+                rest = self.t_table(d2, om2).items()
+                for e1, c1 in self.tc_table(d1, om1).items():
+                    c1 *= ways
+                    for e2, c2 in rest:
+                        t = 0
+                        for b, r in pairs:
+                            t += e1[b] * e2[r]
+                        out[t] = out.get(t, 0) - c1 * c2
+        return {t: c for t, c in out.items() if c}
 
 
 def connected(spec: RepeatedSpec, cache: CharCache | None = None) -> Fraction:

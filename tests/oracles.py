@@ -129,9 +129,10 @@ def candidate_moduli(d: int, nu: Partition, cache: CharCache | None = None) -> l
         out = {helper.eig(delta, lam) for lam in partitions_of(delta)}
         for d1 in range(1, delta):
             singles = [helper.eig(d1, lam) for lam in partitions_of(d1)]
+            fit = helper.algebra.fitting(d1, delta - d1)
             for e2 in products(delta - d1):
                 for e1 in singles:
-                    out.add(helper.convolve(d1, e1, delta - d1, e2))
+                    out.add(helper.convolve(fit, e1, e2))
         memo[delta] = out
         return out
 

@@ -24,6 +24,7 @@ from snhurwitz.hurwitz import (
     brute_force_disconnected,
     connected,
     disconnected,
+    mu_splits,
 )
 from snhurwitz.partitions import Partition, parse, partitions_of
 
@@ -404,6 +405,32 @@ def test_nu_split_algebra_indexes_taken_then_left_behind():
                 assert sorted(alg.types[b] + alg.types[rest], reverse=True) == list(alg.types[a])
 
 
+def test_mu_splits_are_the_exact_multiset_splits_once_each():
+    # brute force over index subsets; the splits of the fixed profiles come
+    # as a product, each profile's taken parts in decreasing lexicographic
+    # order, which is the tuples of taken parts sorted in decreasing order
+    def splits(om, delta1):
+        out = set()
+        for r in range(len(om) + 1):
+            for idx in combinations(range(len(om)), r):
+                taken = tuple(om[i] for i in idx)
+                if sum(taken) == delta1:
+                    out.add((taken, tuple(om[i] for i in range(len(om)) if i not in idx)))
+        return out
+
+    profiles = [(3, 2, 1), (2, 2, 1, 1), (3, 1, 1, 1), (2, 2, 2), (4, 1, 1)]
+    cases = [()] + [(om,) for om in profiles] + list(combinations_with_replacement(profiles, 2))
+    for omegas in cases:
+        for delta1 in range(1, 6):
+            got = mu_splits(delta1, omegas)
+            assert isinstance(got, tuple) and mu_splits(delta1, omegas) is got
+            expected = {(tuple(w1 for w1, _ in choice), tuple(w2 for _, w2 in choice))
+                        for choice in product(*(splits(om, delta1) for om in omegas))}
+            assert len(set(got)) == len(got), (delta1, omegas)
+            assert list(got) == sorted(expected, reverse=True), (delta1, omegas)
+    assert mu_splits(3, ()) == (((), ()),)
+
+
 def test_placements_enumerate_labelled_point_placements():
     for n in range(7):
         for slots in range(1, 5):
@@ -473,3 +500,29 @@ def test_count_and_table_forms_agree_on_every_piece(cache):
                                 == at(tc_table, counts)), where
                         checks += 2
     assert checks == 6042
+
+
+def test_fold_is_the_full_component_of_the_top_table(cache):
+    # fold(ω) computes only ν's eigenvalue of each top-level convolution;
+    # it must equal tc_table(d, ω) read at the full type and summed
+    def families(d):
+        out = [[2] + [1] * (d - 2), [3, 2] + [1] * (d - 5), [2, 2] + [1] * (d - 4),
+               [3, 2, 2] + [1] * (d - 7), [2] * (d // 2) if d % 2 == 0 else []]
+        return list(dict.fromkeys(P(parts) for parts in out
+                                  if parts and min(parts) >= 1 and sum(parts) == d))
+
+    checks = 0
+    for d in range(2, 9):
+        for nu in families(d):
+            for h in (0, 1, 2):
+                for mus in [(), (P([2] + [1] * (d - 2)),)]:
+                    comp = ConnectedComputer(h, d, mus, nu, cache)
+                    omegas = tuple(m.parts for m in mus)
+                    full = comp.algebra.full
+                    expected: dict[int, int] = {}
+                    for e, c in comp.tc_table(d, omegas).items():
+                        expected[e[full]] = expected.get(e[full], 0) + c
+                    expected = {t: c for t, c in expected.items() if c}
+                    assert comp.fold(omegas) == expected, (d, nu, h, mus)
+                    checks += 1
+    assert checks == 120

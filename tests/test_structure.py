@@ -5,7 +5,7 @@ import pytest
 
 from snhurwitz.characters import CharCache
 from snhurwitz.errors import GenusError, HypothesisError
-from snhurwitz.hurwitz import CoverSpec, RepeatedSpec, brute_force_connected, disconnected
+from snhurwitz.hurwitz import ConnectedComputer, CoverSpec, RepeatedSpec, brute_force_connected, disconnected
 from snhurwitz.partitions import Partition, dimension, partitions_of
 from snhurwitz.structure import (
     _moduli,
@@ -168,6 +168,23 @@ def test_connected_top_coefficient_is_one(cache):
     table = extract_b_connected(0, 4, (), P([2, 1, 1]), cache)
     assert table.coefficient(6) == table.coefficient(6.0) == table.coefficient(Fraction(12, 2)) == 1
     assert table.coefficient(6.5) == table.coefficient(Fraction(13, 2)) == 0
+
+
+def test_connected_table_builds_no_degree_d_eigenfunction_table(cache, monkeypatch):
+    # the top level folds straight to ν's eigenvalue, so the eigenfunction
+    # tables of the transitive pieces stop below degree d
+    seen = []
+    tc_table = ConnectedComputer.tc_table
+
+    def spy(self, delta, omegas):
+        seen.append(delta)
+        return tc_table(self, delta, omegas)
+
+    monkeypatch.setattr(ConnectedComputer, "tc_table", spy)
+    nu = P([3, 2, 2, 1])
+    table = extract_b_connected(0, 8, (), nu, cache)
+    assert table.coefficient(factorial(8) // nu.centralizer_order()) == 1
+    assert set(seen) == set(range(1, 8))
 
 
 def test_tables_are_integral_after_scaling(cache):
