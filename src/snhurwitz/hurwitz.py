@@ -6,8 +6,8 @@ containing sheet 1, with repeated branch points aggregated by the multiset
 of per-point sub-profiles.  `ConnectedComputer` runs that recursion in two
 forms: on counts at one repeat count, and on tables of eigenfunctions that
 carry every repeat count at once (`t_table`, `tc_table`) below degree d,
-whose top level `fold` sums straight into {ν's eigenvalue: coefficient}
-for `structure` to fold into b(m).
+whose top level `peel` sums the components peeled off sheet 1 straight
+into {ν's eigenvalue: coefficient} for `structure` to fold into b(m).
 
 Independent permutation-level oracles count monodromy tuples directly,
 using no characters, in plain Python integers: a state (partial product r,
@@ -372,9 +372,10 @@ class ConnectedComputer:
     (`eig`), and a table maps eigenfunctions to exact coefficients.  Two
     pieces' eigenfunctions combine by `convolve` over the hand-off splits.
     Only ν's own eigenvalue, the full type's entry, is read at degree d, so
-    `fold` computes just that entry of each top-level convolution and sums
-    the coefficients by it; `tc_table` builds whole eigenfunctions only
-    below the top (it still answers at degree d, for the tests).
+    `peel` computes just that entry of each top-level convolution and sums
+    the coefficients by it; `t_table` and `tc_table` build whole
+    eigenfunctions only below the top (they still answer at degree d, for
+    the tests).
 
     Both forms read every eigenvalue from the cache's central columns
     (`characters.central_column`); the per-point factors come from `eig`,
@@ -542,16 +543,15 @@ class ConnectedComputer:
         self._tc[key] = table
         return table
 
-    def fold(self, omegas: tuple) -> dict[int, int]:
-        """{f_ν eigenvalue t: coefficient} of the degree-d transitive table:
-        `tc_table(d, omegas)` with each eigenfunction read at the full
-        hand-off type, computed without building that table.  The top
-        level's convolutions compute only their full component, a dot
-        product over the full type's fitting pairs."""
+    def peel(self, omegas: tuple) -> dict[int, int]:
+        """{f_ν eigenvalue t: coefficient} of the components peeled off
+        sheet 1 at degree d: `tc_table(d, omegas)` less `t_table(d, omegas)`,
+        with each eigenfunction read at the full hand-off type, computed
+        without building either table.  The top level's convolutions compute
+        only their full component, a dot product over the full type's
+        fitting pairs."""
         d, full = self.d, self.algebra.full
         out: dict[int, int] = {}
-        for e, c in self.t_table(d, omegas).items():
-            out[e[full]] = out.get(e[full], 0) + c
         for d1 in range(1, d):
             d2 = d - d1
             ways = comb(d - 1, d1 - 1) * comb(d, d1)

@@ -5,11 +5,12 @@ profile ν, both the disconnected and connected Hurwitz numbers are finite
 sums  prefactor · Σ_m b(m)·m^k  over positive integer moduli m, where k is
 the number of ν-points.  Both tables are one fold of (eigenvalue of ν,
 coefficient) pairs from a `hurwitz.ConnectedComputer`: the character sum's
-terms (`terms`) with f_ν(λ) read from ν's central column, and `fold`, the
-peeling recursion's top level summed straight by ν's eigenvalue over the
-eigenfunction tables `t_table` and `tc_table` below degree d.  Each table
-is checked against the count it expands (the character sum, or the count
-form of the recursion, `ConnectedComputer.value`) at held-out exponents.
+terms (`terms`) with f_ν(λ) read from ν's central column, to which the
+connected table adds `peel`, the components peeled off sheet 1, summed
+straight by ν's eigenvalue over the eigenfunction tables `t_table` and
+`tc_table` below degree d.  Each table is checked against the count it
+expands (the character sum, or the count form of the recursion,
+`ConnectedComputer.value`) at held-out exponents.
 
 Every statement about a table lives here: the named statements (T1, T2,
 T5, T6, PropDH, LemmaDH2), the coefficient-gap conjectures (cH4, cH9,
@@ -130,11 +131,11 @@ def _extract(kind: str, h: int, d: int, mus: tuple[Partition, ...], nu: Partitio
              cache: CharCache | None, parity: int | None) -> BTable:
     """Fold the degree-d table of the given kind into b(m), then check it.
 
-    Both kinds fold (t, coefficient) pairs, where t = f_ν(λ) is ν's
-    eigenvalue: `ConnectedComputer.fold` {t: coefficient} if connected, so
-    no degree-d eigenfunction table is built, and ν's central column at
-    each λ of the character sum's `terms` if not, so a disconnected table
-    builds no other central column.
+    Both kinds fold (t, coefficient) pairs, where t is ν's eigenvalue:
+    t = f_ν(λ), read from ν's central column, at each λ of the character
+    sum's `terms`, and for the connected kind also the pairs of
+    `ConnectedComputer.peel`, the components peeled off sheet 1.  So no
+    degree-d eigenfunction table is built.
     Each pair adds its coefficient to m = |t|, with sign sgn(t)^k for k of
     the table's parity.  Each sum is divided by 2·d!^{2h}·∏(d!/z_μ), and the entries
     run in decreasing m.  The table is then checked at held-out exponents of its
@@ -146,11 +147,10 @@ def _extract(kind: str, h: int, d: int, mus: tuple[Partition, ...], nu: Partitio
     par, vacuous = _resolve_parity(nu, mus, parity)
     computer = ConnectedComputer(h, d, mus, nu, cache)
     omegas = tuple(m.parts for m in mus)
+    column = central_column(nu.parts, cache)
+    pairs = [(column.get(lam.parts, 0), coeff) for lam, coeff in computer.terms(d, omegas)]
     if kind == "connected":
-        pairs = computer.fold(omegas).items()
-    else:
-        column = central_column(nu.parts, cache)
-        pairs = ((column.get(lam.parts, 0), coeff) for lam, coeff in computer.terms(d, omegas))
+        pairs += computer.peel(omegas).items()
     folded: dict[int, int] = {}
     for t, coeff in pairs:
         if t:

@@ -4,14 +4,16 @@ A Young tree of order r is a set of r boxes of a diagram whose induced
 graph is connected and acyclic, where an edge joins two boxes exactly when
 they share a row or column with no other chosen box strictly between them.
 The signed, weighted count of these trees evaluates the central character
-of the class (r,1^{d−r}); closed forms exist for r = 2, 3, 4.
+of the class (r,1^{d−r}); Frobenius's formula in the beta-numbers of λ
+gives the same value in closed form for every r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, factorial
+from fractions import Fraction
+from math import comb, factorial, perm, prod
 from typing import NamedTuple
 
 from .errors import ExactnessError
@@ -114,36 +116,25 @@ def central_character_from_trees(lam: Partition, r: int) -> int:
 
 
 def frobenius_central_character(r: int, lam: Partition) -> int:
-    """Closed forms for the class (r,1^{d−r}) central character, r ∈ {2,3,4}.
+    """Frobenius's formula for the class (r,1^{d−r}) central character:
 
-    Written in terms of diagonal hook arms b_i = λ_i − i and legs
-    a_i = λ'_i − i over the s diagonal boxes.
+    f(λ) = (1/r)·Σ_i (β_i)_r·∏_{j≠i} (β_i − r − β_j)/(β_i − β_j),
+
+    over the beta-numbers β_i = λ_i + ℓ(λ) − i, with (β)_r the falling
+    factorial, so only β_i ≥ r contribute.  Any 1 ≤ r ≤ d; at r = 1 it
+    gives d, the marked-cycle normalization of the tree count.
     """
     d = lam.size
-    if r not in (2, 3, 4):
-        raise ValueError(f"closed form only for r in {{2,3,4}}, got {r}")
-    if d < r:
-        raise ValueError(f"need |λ| ≥ r, got {d} < {r}")
-    conj = lam.conjugate()
-    s = sum(1 for i in range(1, lam.length + 1) if lam.part(i) >= i)
-    bs = [lam.part(i) - i for i in range(1, s + 1)]
-    as_ = [conj.part(i) - i for i in range(1, s + 1)]
-    if r == 2:
-        num = sum(b * (b + 1) - a * (a + 1) for b, a in zip(bs, as_))
-        den = 2
-    elif r == 3:
-        num = sum(b * (b + 1) * (2 * b + 1) + a * (a + 1) * (2 * a + 1) for b, a in zip(bs, as_))
-        num -= 3 * d * (d - 1)
-        den = 6
-    else:
-        num = sum(
-            b**2 * (b + 1) ** 2 - a**2 * (a + 1) ** 2 - (4 * d - 6) * (b * (b + 1) - a * (a + 1))
-            for b, a in zip(bs, as_)
-        )
-        den = 4
-    if num % den:
-        raise ExactnessError(f"closed form not integral for r={r}, lam={lam} (bug)")
-    return num // den
+    if not 1 <= r <= d:
+        raise ValueError(f"r must be in 1..{d}, got {r}")
+    n = lam.length
+    beta = [part + n - i for i, part in enumerate(lam.parts, 1)]
+    total = sum((Fraction(perm(b, r) * prod(b - r - c for c in beta if c != b),
+                          r * prod(b - c for c in beta if c != b))
+                 for b in beta if b >= r), Fraction(0))
+    if total.denominator != 1:
+        raise ExactnessError(f"Frobenius formula not integral for r={r}, lam={lam} (bug)")
+    return int(total)
 
 
 def count_straight_trees(lam: Partition, r: int) -> int:

@@ -27,6 +27,11 @@ The diagram helpers (the induced row/column graph on chosen boxes, the
 row-unfolding map into the hook, and the hook it targets) are the tree
 definitions written out box by box; the library's tree enumeration builds
 edges from its own line runs, and the tests check it against these.
+
+The diagonal-hook forms give the central character of the classes (2,1^{d−2}),
+(3,1^{d−3}) and (4,1^{d−4}) as polynomials in the arms and legs of λ's
+diagonal hooks.  The library reads every hook class from Frobenius's formula
+in λ's beta-numbers instead, so the forms check it at r = 2, 3, 4.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from snhurwitz.characters import CharCache, central_character, character_ratio
-from snhurwitz.errors import SizeMismatchError, SupportError
+from snhurwitz.errors import ExactnessError, SizeMismatchError, SupportError
 from snhurwitz.hurwitz import ConnectedComputer
 from snhurwitz.partitions import Partition, dimension, partitions_of
 from snhurwitz.structure import _check_nu, _prefactor, _resolve_parity, _sample_exponents
@@ -284,3 +289,36 @@ def straighten(lam: Partition, box: Box) -> Box:
 def hook_envelope(lam: Partition) -> Partition:
     """The hook diagram (d+1−l(λ), 1^{l(λ)−1}) that the straightening map targets."""
     return Partition([lam.size + 1 - lam.length] + [1] * (lam.length - 1))
+
+
+def diagonal_hook_central_character(r: int, lam: Partition) -> int:
+    """Closed forms for the class (r,1^{d−r}) central character, r ∈ {2,3,4}.
+
+    Written in terms of diagonal hook arms b_i = λ_i − i and legs
+    a_i = λ'_i − i over the s diagonal boxes.
+    """
+    d = lam.size
+    if r not in (2, 3, 4):
+        raise ValueError(f"closed form only for r in {{2,3,4}}, got {r}")
+    if d < r:
+        raise ValueError(f"need |λ| ≥ r, got {d} < {r}")
+    conj = lam.conjugate()
+    s = sum(1 for i in range(1, lam.length + 1) if lam.part(i) >= i)
+    bs = [lam.part(i) - i for i in range(1, s + 1)]
+    as_ = [conj.part(i) - i for i in range(1, s + 1)]
+    if r == 2:
+        num = sum(b * (b + 1) - a * (a + 1) for b, a in zip(bs, as_))
+        den = 2
+    elif r == 3:
+        num = sum(b * (b + 1) * (2 * b + 1) + a * (a + 1) * (2 * a + 1) for b, a in zip(bs, as_))
+        num -= 3 * d * (d - 1)
+        den = 6
+    else:
+        num = sum(
+            b**2 * (b + 1) ** 2 - a**2 * (a + 1) ** 2 - (4 * d - 6) * (b * (b + 1) - a * (a + 1))
+            for b, a in zip(bs, as_)
+        )
+        den = 4
+    if num % den:
+        raise ExactnessError(f"closed form not integral for r={r}, lam={lam} (bug)")
+    return num // den

@@ -14,6 +14,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from oracles import diagonal_hook_central_character
 from snhurwitz.characters import central_character, one_cycle_central_character
 from snhurwitz.hurwitz import (
     CoverSpec,
@@ -61,7 +62,8 @@ def test_criterion_1_tree_formula(cache):
 
 
 def test_criterion_2_frobenius_forms(cache):
-    """Closed forms for r = 2,3,4 match trees and characters for d ≤ 10."""
+    """Diagonal-hook forms for r = 2,3,4 match Frobenius's formula, trees and
+    characters for d ≤ 10."""
     t0 = time.time()
     bad = []
     for d in range(2, 11):
@@ -69,13 +71,15 @@ def test_criterion_2_frobenius_forms(cache):
             for r in (2, 3, 4):
                 if r > d:
                     continue
+                hooks = diagonal_hook_central_character(r, lam)
                 frob = frobenius_central_character(r, lam)
                 trees = central_character_from_trees(lam, r)
                 mn = central_character(P([r] + [1] * (d - r)), lam, cache)
-                if not frob == trees == mn:
-                    bad.append((d, str(lam), r, frob, trees, mn))
+                if not hooks == frob == trees == mn:
+                    bad.append((d, str(lam), r, hooks, frob, trees, mn))
     ok = not bad
-    _verdict("2", ok, f"Frobenius forms ≡ trees ≡ characters, d ≤ 10 ({time.time()-t0:.1f}s)")
+    _verdict("2", ok, f"diagonal-hook forms ≡ Frobenius ≡ trees ≡ characters, d ≤ 10 "
+                      f"({time.time()-t0:.1f}s)")
     assert ok, bad[:5]
 
 

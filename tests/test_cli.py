@@ -27,12 +27,17 @@ def test_chi(run):
 
 
 def test_f_methods_agree(run):
-    values = {}
+    for lam, r in (("4,2,1", 3), ("4,2,1", 1), ("5,3,1", 5), ("4,3,2,1", 7), ("3,3", 6)):
+        values = {}
+        for method in ("mn", "trees", "frobenius"):
+            code, out, _ = run("f", "--lambda", lam, "--r", str(r), "--method", method)
+            assert code == 0
+            values[method] = json.loads(out)["f"]
+        assert len(set(values.values())) == 1, (lam, r, values)
     for method in ("mn", "trees", "frobenius"):
-        code, out, _ = run("f", "--lambda", "4,2,1", "--r", "3", "--method", method)
-        assert code == 0
-        values[method] = json.loads(out)["f"]
-    assert len(set(values.values())) == 1
+        for r in (0, 8):
+            code, out, err = run("f", "--lambda", "4,3", "--r", str(r), "--method", method)
+            assert code == 2 and not out and f"r must be in 1..7, got {r}" in err, (method, r)
 
 
 def test_f_value(run):

@@ -7,7 +7,7 @@ from math import comb, factorial, prod
 import pytest
 
 from snhurwitz import hurwitz
-from snhurwitz.characters import CharCache
+from snhurwitz.characters import CharCache, central_column
 from snhurwitz.errors import BudgetError, GenusError, SizeMismatchError
 from snhurwitz.hurwitz import (
     ConnectedComputer,
@@ -503,8 +503,9 @@ def test_count_and_table_forms_agree_on_every_piece(cache):
 
 
 def test_fold_is_the_full_component_of_the_top_table(cache):
-    # fold(ω) computes only ν's eigenvalue of each top-level convolution;
-    # it must equal tc_table(d, ω) read at the full type and summed
+    # peel(ω) computes only ν's eigenvalue of each top-level convolution;
+    # with the character sum's (f_ν(λ), coefficient) pairs it must equal
+    # tc_table(d, ω) read at the full type and summed
     def families(d):
         out = [[2] + [1] * (d - 2), [3, 2] + [1] * (d - 5), [2, 2] + [1] * (d - 4),
                [3, 2, 2] + [1] * (d - 7), [2] * (d // 2) if d % 2 == 0 else []]
@@ -523,6 +524,11 @@ def test_fold_is_the_full_component_of_the_top_table(cache):
                     for e, c in comp.tc_table(d, omegas).items():
                         expected[e[full]] = expected.get(e[full], 0) + c
                     expected = {t: c for t, c in expected.items() if c}
-                    assert comp.fold(omegas) == expected, (d, nu, h, mus)
+                    column = central_column(nu.parts, cache)
+                    got = dict(comp.peel(omegas))
+                    for lam, c in comp.terms(d, omegas):
+                        t = column.get(lam.parts, 0)
+                        got[t] = got.get(t, 0) + c
+                    assert {t: c for t, c in got.items() if c} == expected, (d, nu, h, mus)
                     checks += 1
     assert checks == 120

@@ -171,20 +171,23 @@ def test_connected_top_coefficient_is_one(cache):
 
 
 def test_connected_table_builds_no_degree_d_eigenfunction_table(cache, monkeypatch):
-    # the top level folds straight to ν's eigenvalue, so the eigenfunction
-    # tables of the transitive pieces stop below degree d
-    seen = []
-    tc_table = ConnectedComputer.tc_table
+    # the top level folds the character sum's terms and the peeled
+    # components straight to ν's eigenvalue, so both kinds of eigenfunction
+    # table stop below degree d
+    seen = {"t_table": [], "tc_table": []}
+    for name in seen:
+        def spy(self, delta, omegas, name=name, method=getattr(ConnectedComputer, name)):
+            seen[name].append(delta)
+            return method(self, delta, omegas)
 
-    def spy(self, delta, omegas):
-        seen.append(delta)
-        return tc_table(self, delta, omegas)
-
-    monkeypatch.setattr(ConnectedComputer, "tc_table", spy)
+        monkeypatch.setattr(ConnectedComputer, name, spy)
     nu = P([3, 2, 2, 1])
     table = extract_b_connected(0, 8, (), nu, cache)
     assert table.coefficient(factorial(8) // nu.centralizer_order()) == 1
-    assert set(seen) == set(range(1, 8))
+    assert set(seen["t_table"]) == set(seen["tc_table"]) == set(range(1, 8))
+    seen["t_table"].clear()
+    table = extract_b_connected(1, 8, (P([2, 2, 1, 1, 1, 1]),), P([2, 2, 1, 1, 1, 1]), cache)
+    assert table.entries and set(seen["t_table"]) == set(range(1, 8))
 
 
 def test_tables_are_integral_after_scaling(cache):

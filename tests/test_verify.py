@@ -160,17 +160,17 @@ def test_lemma_rm2_range(cache):
 
 
 def test_lemma_rm2_frobenius_route_identical(cache):
-    # the report's r ≤ 4 rows against ratios from the Frobenius closed forms
+    # every row of the report against ratios from Frobenius's formula
     d = 7
     rep = check_lemma_rm2(d, cache)
     assert not rep.violations
     lams = [lam for lam in partitions_of(d) if lam not in (P([d]), P([1] * d))]
     eq = {item["r"]: item["lambdas"] for item in rep.equality_set}
     ext = {item["r"]: item for item in rep.extremal}
-    for r in (2, 3, 4):
+    for r in range(2, d + 1):
         ratios = [abs(Fraction(frobenius_central_character(r, lam) * r * factorial(d - r), factorial(d)))
                   for lam in lams]
-        bound = Fraction(d - r - 1, d - 1)
+        bound = Fraction(2, d * (d - 3)) if r == d - 1 else Fraction(abs(d - r - 1), d - 1)
         assert max(ratios) <= bound
         assert eq[r] == sorted(str(lam) for lam, x in zip(lams, ratios) if x == bound)
         top = max(ratios)

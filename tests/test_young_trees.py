@@ -2,8 +2,8 @@ from math import comb, factorial
 
 import pytest
 
-from oracles import hook_envelope, induced_graph, straighten
-from snhurwitz.characters import one_cycle_central_character
+from oracles import diagonal_hook_central_character, hook_envelope, induced_graph, straighten
+from snhurwitz.characters import central_column, one_cycle_central_character
 from snhurwitz.partitions import Partition, partitions_of
 from snhurwitz.young_trees import (
     Box,
@@ -70,7 +70,8 @@ def test_signed_count_equals_central_character_small():
     for d in range(2, 8):
         for lam in partitions_of(d):
             for r in range(1, d + 1):
-                assert central_character_from_trees(lam, r) == one_cycle_central_character(r, lam)
+                assert (central_character_from_trees(lam, r) == frobenius_central_character(r, lam)
+                        == one_cycle_central_character(r, lam))
 
 
 def test_signed_count_closed_cases():
@@ -89,9 +90,27 @@ def test_frobenius_closed_forms():
     for d in range(4, 9):
         for lam in partitions_of(d):
             for r in (2, 3, 4):
-                assert frobenius_central_character(r, lam) == central_character_from_trees(lam, r)
-    with pytest.raises(ValueError):
-        frobenius_central_character(5, P([5]))
+                assert (frobenius_central_character(r, lam) == diagonal_hook_central_character(r, lam)
+                        == central_character_from_trees(lam, r))
+    assert frobenius_central_character(5, P([5])) == central_character_from_trees(P([5]), 5)
+    for r in (0, 6):
+        with pytest.raises(ValueError):
+            frobenius_central_character(r, P([5]))
+
+
+def test_frobenius_formula_matches_hook_central_columns(cache):
+    # the formula reads no χ value, so it checks the hook classes' central
+    # columns at degrees the brute-force and tree routes cannot reach
+    def check(d, r):
+        column = central_column((r,) + (1,) * (d - r), cache)
+        for lam in partitions_of(d):
+            assert frobenius_central_character(r, lam) == column.get(lam.parts, 0), (d, r, lam)
+
+    for d in range(2, 21):
+        for r in range(2, d + 1):
+            check(d, r)
+    for r in (2, 3, 15, 29, 30):
+        check(30, r)
 
 
 def test_straighten_rules():
