@@ -8,6 +8,9 @@ forms: on counts at one repeat count, and on tables of eigenfunctions that
 carry every repeat count at once (`t_table`, `tc_table`) below degree d,
 whose top level `peel` sums the components peeled off sheet 1 straight
 into {ν's eigenvalue: coefficient} for `structure` to fold into b(m).
+Both forms carry only the hand-offs a ν-point can make: it fixes m₁(ν)
+sheets, so a δ-sheet piece receives a type a only if δ − m₁(ν) ≤ |a| ≤ δ
+(`NuSplitAlgebra.possible`), and a state with any other type reads 0.
 
 Independent permutation-level oracles count monodromy tuples directly,
 using no characters, in plain Python integers: a state (partial product r,
@@ -305,6 +308,12 @@ class NuSplitAlgebra:
     `fitting` keeps the pairs two given degrees can absorb, and
     `point_profile` rebuilds the actual partition a point shows to a
     component of a given degree.
+
+    One rule says which hand-offs a cover can make (`possible`): a ν-point
+    fixes exactly m₁(ν) sheets, and a point of type a fixes δ − |a| of a
+    δ-sheet piece, so type a occurs on δ sheets only if
+    δ − m₁(ν) ≤ |a| ≤ δ.  A state with a point of an impossible type is
+    realized by no cover, and both forms of `ConnectedComputer` read 0 there.
     """
 
     def __init__(self, nu: Partition):
@@ -312,19 +321,27 @@ class NuSplitAlgebra:
         self.types = [taken for taken, _ in sub_multisets(big)]
         self.tindex = {t: i for i, t in enumerate(self.types)}
         self.tsum = [sum(t) for t in self.types]
+        self.units = nu.multiplicity(1)
         self.full = self.tindex[big]
         self.choices = [[(self.tindex[taken], self.tindex[rest]) for taken, rest in sub_multisets(a)]
                         for a in self.types]
         self._fitting: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}
 
+    def possible(self, tidx: int, delta: int) -> bool:
+        """Whether a ν-point can hand the given type to a δ-sheet piece:
+        δ − m₁(ν) ≤ |type| ≤ δ."""
+        return delta - self.units <= self.tsum[tidx] <= delta
+
     def fitting(self, d1: int, d2: int) -> list[list[tuple[int, int]]]:
         """Per type, the (taken, left-behind) pairs whose non-unit parts fit
-        in d1 and d2 sheets; empty where the type itself needs more."""
+        in d1 and d2 sheets; empty where the type is impossible on d1 + d2
+        sheets.  The pairs of a possible type are possible on their pieces:
+        each piece fixes no more sheets than the two together."""
         hit = self._fitting.get((d1, d2))
         if hit is None:
             tsum = self.tsum
             hit = [[(b, rest) for b, rest in opts if tsum[b] <= d1 and tsum[rest] <= d2]
-                   for opts in self.choices]
+                   if self.possible(a, d1 + d2) else [] for a, opts in enumerate(self.choices)]
             self._fitting[(d1, d2)] = hit
         return hit
 
@@ -379,7 +396,11 @@ class ConnectedComputer:
 
     Both forms read every eigenvalue from the cache's central columns
     (`characters.central_column`); the per-point factors come from `eig`,
-    one vector per (δ, λ) that both forms share.
+    one vector per (δ, λ) that both forms share, 0 on every type
+    impossible on δ sheets.  So eigenfunctions that differ only there are
+    one, and the tables below degree d keep no entry a cover cannot read.
+    The count form raises the active entries of each (`eig`, term) pair of
+    the ungrouped character sum (`_character_sum`), which `t_table` groups.
 
     All arithmetic is on integers: a δ-sheet piece sums the character-sum
     weights of `weights(h, δ)`, δ!² times (dim λ/δ!)^{2−2h}.  The count form
@@ -399,6 +420,7 @@ class ConnectedComputer:
         self._memo_t: dict = {}
         self._memo_tc: dict = {}
         self._eigs: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+        self._sums: dict[tuple[int, tuple], list[tuple[tuple[int, ...], int]]] = {}
         self._columns: dict[int, list[dict]] = {}
         self._t: dict = {}
         self._tc: dict = {}
@@ -413,18 +435,29 @@ class ConnectedComputer:
             if coeff:
                 yield lam, coeff
 
+    def _character_sum(self, delta: int, omegas: tuple) -> list[tuple[tuple[int, ...], int]]:
+        """(eig(δ, λ), term) over `terms(δ, omegas)`: the character sum of a
+        δ-sheet piece, ungrouped, built once per (δ, omegas)."""
+        key = (delta, omegas)
+        hit = self._sums.get(key)
+        if hit is None:
+            hit = [(self.eig(delta, lam), term) for lam, term in self.terms(delta, omegas)]
+            self._sums[key] = hit
+        return hit
+
     def _tuples_all(self, delta: int, counts: tuple[int, ...], omegas: tuple) -> int:
-        """δ!·(disconnected count) for a δ-sheet piece with the given points."""
+        """δ!·(disconnected count) for a δ-sheet piece with the given points,
+        summed over the ungrouped character sum; 0 if a point's type is
+        impossible on δ sheets (`NuSplitAlgebra.possible`)."""
         key = (delta, counts, omegas)
         hit = self._memo_t.get(key)
         if hit is not None:
             return hit
+        active = [(tidx, n) for tidx, n in enumerate(counts) if n]
         total = 0
-        for lam, term in self.terms(delta, omegas):
-            e = self.eig(delta, lam)
-            for tidx, n in enumerate(counts):
-                if n:
-                    term *= e[tidx] ** n
+        for e, term in self._character_sum(delta, omegas):
+            for tidx, n in active:
+                term *= e[tidx] ** n
             total += term
         value, rem = divmod(total, factorial(delta))
         if rem:
@@ -479,7 +512,7 @@ class ConnectedComputer:
 
     def eig(self, delta: int, lam: Partition) -> tuple[int, ...]:
         """λ's factor per ν-point of each hand-off type on a δ-sheet piece;
-        0 for types whose non-unit parts need more than δ sheets."""
+        0 for types impossible on δ sheets (`NuSplitAlgebra.possible`)."""
         key = (delta, lam.parts)
         hit = self._eigs.get(key)
         if hit is None:
@@ -487,7 +520,7 @@ class ConnectedComputer:
             if columns is None:
                 alg, cache = self.algebra, self.cache
                 columns = [central_column(alg.point_profile(t, delta), cache)
-                           if alg.tsum[t] <= delta else {} for t in range(len(alg.types))]
+                           if alg.possible(t, delta) else {} for t in range(len(alg.types))]
                 self._columns[delta] = columns
             hit = tuple(column.get(lam.parts, 0) for column in columns)
             self._eigs[key] = hit
@@ -513,8 +546,7 @@ class ConnectedComputer:
         if hit is not None:
             return hit
         table: dict[tuple[int, ...], int] = {}
-        for lam, coeff in self.terms(delta, omegas):
-            e = self.eig(delta, lam)
+        for e, coeff in self._character_sum(delta, omegas):
             table[e] = table.get(e, 0) + coeff
         table = {e: c for e, c in table.items() if c}
         self._t[key] = table

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .characters import CharCache, central_column
 from .characters import central_character  # noqa: F401  (rebound by bench/workloads.py's tracing)
@@ -99,10 +99,13 @@ class BTable:
 
     def value_at(self, k: int) -> Fraction:
         """prefactor · Σ b(m)·m^k; matches the Hurwitz number for k ≥ 1 of
-        this table's parity."""
+        this table's parity.  The sum runs on integer numerators over the
+        entries' common denominator, so it builds one Fraction."""
         if k % 2 != self.parity:
             raise GenusError(f"table holds for k ≡ {self.parity} (mod 2), got k={k}")
-        return self.prefactor * sum((b * m**k for m, b in self.entries.items()), Fraction(0))
+        den = lcm(*(b.denominator for b in self.entries.values()))
+        num = sum(b.numerator * (den // b.denominator) * m**k for m, b in self.entries.items())
+        return self.prefactor * Fraction(num, den)
 
     def integrality_violations(self) -> list[int]:
         scale = _integer_scale(self.h, self.d, self.mus)

@@ -447,7 +447,10 @@ def test_placements_enumerate_labelled_point_placements():
 
 def test_tuples_all_equals_scaled_character_sum(cache):
     # the integer weights dim²·(δ!/dim)^{2h}, divided once by δ!, against the
-    # Fraction character sum; h = 2 lies beyond the brute-force oracles
+    # Fraction character sum; h = 2 lies beyond the brute-force oracles.  A
+    # hand-off that ν cannot make on δ sheets reads 0, and the same point
+    # profile is checked on ν padded with unit parts until it can
+    checks = impossible = 0
     for d, nu in [(4, P([2, 2])), (5, P([3, 2])), (6, P([3, 2, 1]))]:
         for h in (0, 1, 2):
             comp = ConnectedComputer(h, d, (), nu, cache)
@@ -458,6 +461,12 @@ def test_tuples_all_equals_scaled_character_sum(cache):
                     if alg.tsum[tidx] > delta:
                         continue
                     point = P(alg.point_profile(tidx, delta))
+                    pad = delta - alg.tsum[tidx] - alg.units
+                    host = comp
+                    if pad > 0:
+                        host = ConnectedComputer(h, d + pad, (), P(nu.parts + (1,) * pad), cache)
+                    assert host.algebra.types == alg.types
+                    assert host.algebra.possible(tidx, delta) and alg.possible(tidx, delta) == (pad <= 0)
                     for n in (1, 2, 3):
                         counts = [0] * len(alg.types)
                         counts[tidx] = n
@@ -465,8 +474,13 @@ def test_tuples_all_equals_scaled_character_sum(cache):
                             profiles = tuple(P(om) for om in omegas) + (point,) * n
                             expected = factorial(delta) * disconnected(
                                 CoverSpec(h, delta, profiles), cache)
-                            got = comp._tuples_all(delta, tuple(counts), omegas)
-                            assert got == expected, (d, nu, h, delta, counts, omegas)
+                            where = (d, nu, h, delta, counts, omegas)
+                            assert host._tuples_all(delta, tuple(counts), omegas) == expected, where
+                            if pad > 0:
+                                assert comp._tuples_all(delta, tuple(counts), omegas) == 0, where
+                                impossible += 1
+                            checks += 1
+    assert (checks, impossible) == (999, 684)
 
 
 def test_count_and_table_forms_agree_on_every_piece(cache):

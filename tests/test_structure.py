@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -8,6 +10,7 @@ from snhurwitz.errors import GenusError, HypothesisError
 from snhurwitz.hurwitz import ConnectedComputer, CoverSpec, RepeatedSpec, brute_force_connected, disconnected
 from snhurwitz.partitions import Partition, dimension, partitions_of
 from snhurwitz.structure import (
+    BTable,
     _moduli,
     _prefactor,
     _resolve_parity,
@@ -188,6 +191,59 @@ def test_connected_table_builds_no_degree_d_eigenfunction_table(cache, monkeypat
     seen["t_table"].clear()
     table = extract_b_connected(1, 8, (P([2, 2, 1, 1, 1, 1]),), P([2, 2, 1, 1, 1, 1]), cache)
     assert table.entries and set(seen["t_table"]) == set(range(1, 8))
+
+
+def test_tables_below_the_top_carry_only_possible_hand_offs(cache, monkeypatch):
+    # a ν-point fixes m₁(ν) sheets, so a piece of δ sheets can only receive a
+    # type a with δ − m₁(ν) ≤ |a| ≤ δ; no eigenfunction table the connected
+    # fold reads may be nonzero on any other type
+    seen = []
+    for name in ("t_table", "tc_table"):
+        def spy(self, delta, omegas, method=getattr(ConnectedComputer, name)):
+            table = method(self, delta, omegas)
+            seen.append((self.algebra, delta, table))
+            return table
+
+        monkeypatch.setattr(ConnectedComputer, name, spy)
+    cases = [(0, 8, (), P([2, 2, 2, 2])), (1, 8, (P([3, 2, 1, 1, 1]),), P([3, 2, 2, 1])),
+             (0, 9, (), P([3, 2, 2, 1, 1])), (2, 6, (), P([4, 2])), (0, 16, (), P([4, 3, 3, 2, 2, 2]))]
+    for h, d, mus, nu in cases:
+        seen.clear()
+        extract_b_connected(h, d, mus, nu, cache)
+        assert seen
+        units = nu.multiplicity(1)
+        for alg, delta, table in seen:
+            impossible = [t for t, size in enumerate(alg.tsum) if not delta - units <= size <= delta]
+            for e in table:
+                assert all(e[t] == 0 for t in impossible), (nu, delta, e)
+
+
+def test_connected_tables_where_the_hand_off_rule_prunes_are_pinned():
+    # SHA-256 of to_json(), as the benchmark digests tables; recorded before
+    # the tables below the top dropped the hand-offs no ν-point can make
+    pinned = {(16, (2,) * 8): "4dc8686633f19583b431e21cb02f1be821641db9d88003a052caf67ecfb6c774",
+              (16, (4, 3, 3, 2, 2, 2)): "9305801d4df79804bc15a35e1a28ebbbd6932200bc7c04d0322c2a33af895703",
+              (18, (2,) * 9): "e55c163b124aae730b22deab79a6688bb8c2bd197165d80c5d4ac948a5c61ee9"}
+    for (d, parts), digest in pinned.items():
+        table = extract_b_connected(0, d, (), P(parts), CharCache())
+        text = json.dumps(table.to_json(), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (d, parts)
+
+
+def test_value_at_is_the_per_modulus_fraction_sum(cache):
+    def per_modulus(table, k):
+        return table.prefactor * sum((b * m**k for m, b in table.entries.items()), Fraction(0))
+
+    tables = [extract_b_connected(1, 7, (P([3, 2, 1, 1]),), P([2] + [1] * 5), cache),
+              extract_b_disconnected(1, 6, (P([2, 2, 1, 1]),), P([3, 3]), cache),
+              BTable("connected", 0, 4, (), P([2, 2]), 0,
+                     {12: Fraction(-5, 4), 6: Fraction(1, 3), 1: Fraction(7, 6)})]
+    for table in tables:
+        assert len({b.denominator for b in table.entries.values()}) > 1
+        for k in _sample_exponents(table.parity, 4):
+            assert table.value_at(k) == per_modulus(table, k), (table.nu, k)
+    empty = BTable("connected", 0, 4, (), P([2, 2]), 1, {})
+    assert empty.value_at(3) == 0 and isinstance(empty.value_at(3), Fraction)
 
 
 def test_tables_are_integral_after_scaling(cache):
