@@ -19,7 +19,13 @@ columns from it, in bounded memory.
 `central_column` keeps a second memo on the same cache: columns of
 class-sum eigenvalues {λ parts: f_μ(λ)}, each built once per μ from μ's χ
 column with every value checked to be an integer; `central_character` and
-`hurwitz` read every f there.  The entry
+`hurwitz` read every f there.  `chi_column` and `central_column` read a χ
+column through one memoized tuple per degree, `_bead_masks(d)`: the masks
+of the λ ⊢ d in `partitions_of` order.  `chi` reads one value with one
+memo lookup for μ's column and one for λ's mask, and `character_ratio`
+returns the one module-level `_ZERO` for every zero χ (a Fraction is
+immutable, so sharing it is safe), building a Fraction only for a nonzero
+χ.  The entry
 recursion, which strips μ's parts from one λ, is kept in tests/oracles.py
 as the independent cross-check.
 """
@@ -29,10 +35,11 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import factorial
 
 from .errors import CeilingError, ExactnessError, SizeMismatchError
-from .partitions import DEFAULT_ENUMERATION_CEILING, Partition, _dimension, _partition_tuples, dimension
+from .partitions import DEFAULT_ENUMERATION_CEILING, Partition, _dimension, _partition_tuples
 
 
 class CharCache:
@@ -73,6 +80,8 @@ class CharCache:
 
 
 _DEFAULT_CACHE = CharCache()
+#: the ratio `character_ratio` returns for every zero χ
+_ZERO = Fraction(0)
 
 
 @lru_cache(maxsize=None)
@@ -81,6 +90,12 @@ def _bead_mask(parts: tuple[int, ...]) -> int:
     d = sum(parts)
     zeros = d - len(parts)
     return sum(1 << (part + d - 1 - i) for i, part in enumerate(parts)) | (1 << zeros) - 1
+
+
+@lru_cache(maxsize=None)
+def _bead_masks(d: int) -> tuple[int, ...]:
+    """The bead masks of the λ ⊢ d, in partitions_of order."""
+    return tuple(map(_bead_mask, _partition_tuples(d, d)))
 
 
 def _grow(column: dict[int, int], r: int) -> dict[int, int]:
@@ -152,12 +167,16 @@ def walk_columns(d: int, cache: CharCache | None = None) -> Iterator[tuple[int, 
 def chi(lam: Partition, mu: Partition, cache: CharCache | None = None) -> int:
     """Irreducible character value χ_λ(μ), read from μ's column, with size
     and ceiling checked before any walk.  Requires |λ| = |μ|."""
-    if lam.size != mu.size:
-        raise SizeMismatchError(f"|λ|={lam.size} but |μ|={mu.size}")
+    d = lam.size
+    if d != mu.size:
+        raise SizeMismatchError(f"|λ|={d} but |μ|={mu.size}")
     cache = cache or _DEFAULT_CACHE
-    if lam.size > cache.max_degree:
-        raise CeilingError(f"degree {lam.size} exceeds cache ceiling {cache.max_degree}")
-    return _column(lam.size, mu.parts, cache._values).get(_bead_mask(lam.parts), 0)
+    if d > cache.max_degree:
+        raise CeilingError(f"degree {d} exceeds cache ceiling {cache.max_degree}")
+    column = cache._values.get((d, mu.parts))
+    if column is None:
+        column = _column(d, mu.parts, cache._values)
+    return column.get(_bead_mask(lam.parts), 0)
 
 
 def chi_column(mu: Partition, cache: CharCache | None = None) -> tuple[int, ...]:
@@ -165,7 +184,7 @@ def chi_column(mu: Partition, cache: CharCache | None = None) -> tuple[int, ...]
     that order, from one walk."""
     d = mu.size
     column = _column(d, mu.parts, _checked(d, cache)._values)
-    return tuple(column.get(_bead_mask(lam), 0) for lam in _partition_tuples(d, d))
+    return tuple(map(column.get, _bead_masks(d), repeat(0)))
 
 
 def central_column(mu: tuple[int, ...], cache: CharCache | None = None) -> dict[tuple[int, ...], int]:
@@ -178,8 +197,8 @@ def central_column(mu: tuple[int, ...], cache: CharCache | None = None) -> dict[
         chis = _column(d, mu, cache._values)
         scale = factorial(d) // Partition(mu).centralizer_order()  # the class size
         hit = {}
-        for lam in _partition_tuples(d, d):
-            value = chis.get(_bead_mask(lam))
+        for lam, mask in zip(_partition_tuples(d, d), _bead_masks(d)):
+            value = chis.get(mask)
             if value:
                 f, rem = divmod(scale * value, _dimension(lam))
                 if rem:
@@ -218,5 +237,7 @@ def one_cycle_central_character(r: int, lam: Partition, cache: CharCache | None 
 
 
 def character_ratio(lam: Partition, mu: Partition, cache: CharCache | None = None) -> Fraction:
-    """χ_λ(μ)/dim λ as an exact rational (signed), read from μ's column."""
-    return Fraction(chi(lam, mu, cache), dimension(lam))
+    """χ_λ(μ)/dim λ as an exact rational (signed), read from μ's column; a
+    zero χ gives the shared `_ZERO`."""
+    value = chi(lam, mu, cache)
+    return Fraction(value, _dimension(lam.parts)) if value else _ZERO

@@ -76,11 +76,12 @@ def _scan(lams: list[Partition], mu: Partition, bound, cache: CharCache | None
     pairs with ratio ≥ bound, in lams order, and (max ratio, argmax), the
     first maximum in lams order.
 
-    character_ratio builds one reduced Fraction a/b per pair.  Its
-    numerator and denominator are compared with the bound p/q as
-    |a|·q ≥ p·b and with the running maximum the same way, in integers, so
-    no Fraction arithmetic runs; a further Fraction is built only for each
-    hit's |a|/b and for the maximum.
+    character_ratio makes one call per pair and builds a reduced Fraction
+    a/b only for a nonzero pair; a zero χ reads the shared 0/1.  Its
+    numerator and denominator, read once with as_integer_ratio, are
+    compared with the bound p/q as |a|·q ≥ p·b and with the running maximum
+    the same way, in integers, so no Fraction arithmetic runs; a further
+    Fraction is built only for each hit's |a|/b and for the maximum.
     """
     bound = Fraction(bound)
     p, q = bound.numerator, bound.denominator
@@ -88,7 +89,9 @@ def _scan(lams: list[Partition], mu: Partition, bound, cache: CharCache | None
     top_num, top_den, argmax = -1, 1, None
     for lam in lams:
         ratio = character_ratio(lam, mu, cache)
-        num, den = abs(ratio.numerator), ratio.denominator
+        num, den = ratio.as_integer_ratio()
+        if num < 0:
+            num = -num
         if num * q >= p * den:
             at_or_above.append((lam, abs(ratio)))
         if num * top_den > top_num * den:

@@ -32,12 +32,21 @@ The diagonal-hook forms give the central character of the classes (2,1^{d−2}),
 (3,1^{d−3}) and (4,1^{d−4}) as polynomials in the arms and legs of λ's
 diagonal hooks.  The library reads every hook class from Frobenius's formula
 in λ's beta-numbers instead, so the forms check it at r = 2, 3, 4.
+
+Two classical closed forms give connected counts on a genus-0 target with no
+character and no peeling, in the library's normalization (transitive tuples
+/ d!): Hurwitz's one-profile count with simple branch points (proved by
+Goulden and Jackson, Proc. AMS 125, 1997), and the d^{k−1} minimal
+factorizations of a d-cycle into k r-cycles (Goulden and Jackson, Europ. J.
+Combin. 13, 1992; Dénes 1959 for r = 2).  Past brute force's reach they are
+the only checks of the connected tables that share nothing with the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, prod
 from typing import Iterable
 
 from snhurwitz.characters import CharCache, central_character, character_ratio
@@ -322,3 +331,26 @@ def diagonal_hook_central_character(r: int, lam: Partition) -> int:
     if num % den:
         raise ExactnessError(f"closed form not integral for r={r}, lam={lam} (bug)")
     return num // den
+
+
+def genus0_one_profile_count(mu: Partition) -> Fraction:
+    """Hurwitz's count of connected genus-0 covers with profile μ over one
+    point and r = d + ℓ(μ) − 2 simple branch points (ν = (2,1^{d−2})):
+
+    H₀(μ) = r!/|Aut μ| · d^{ℓ−3} · ∏ μᵢ^{μᵢ}/μᵢ!.
+    """
+    d, ell = mu.size, mu.length
+    aut = prod(factorial(mu.multiplicity(v)) for v in set(mu.parts))
+    return (Fraction(factorial(d + ell - 2), aut) * Fraction(d) ** (ell - 3)
+            * prod(Fraction(v**v, factorial(v)) for v in mu.parts))
+
+
+def minimal_cycle_factorization_count(d: int, r: int) -> Fraction:
+    """Connected genus-0 covers with profile (d) over one point and k
+    points of profile (r,1^{d−r}), k(r − 1) = d − 1: each of the (d − 1)!
+    d-cycles has d^{k−1} minimal factorizations into k r-cycles, so
+    H = (d − 1)!·d^{k−1}/d! = d^{k−2}."""
+    k, rem = divmod(d - 1, r - 1)
+    if rem:
+        raise ValueError(f"r − 1 = {r - 1} does not divide d − 1 = {d - 1}")
+    return Fraction(d) ** (k - 2)

@@ -8,6 +8,7 @@ from oracles import chi_entries
 from snhurwitz.characters import (
     CharCache,
     _bead_mask,
+    _bead_masks,
     _column,
     central_character,
     central_column,
@@ -207,7 +208,8 @@ def test_character_ratio_examples(cache):
 
 def test_character_ratio_columns_match_chi_entries():
     # chi and character_ratio, each on a fresh cache per degree, against
-    # the entry recursion of tests/oracles.py at every (λ, μ) of degree ≤ 14
+    # the entry recursion of tests/oracles.py at every (λ, μ) of degree ≤ 14;
+    # a zero χ reads as the Fraction 0/1
     for d in range(15):
         for_chi, for_ratio, for_column, oracle = CharCache(), CharCache(), CharCache(), {}
         classes = partitions_of(d)
@@ -217,9 +219,33 @@ def test_character_ratio_columns_match_chi_entries():
                 expected = chi_entries(lam, mu, oracle)
                 column.append(expected)
                 assert chi(lam, mu, for_chi) == expected, (lam, mu)
-                assert character_ratio(lam, mu, for_ratio) == Fraction(expected, dimension(lam)), (lam, mu)
+                ratio = character_ratio(lam, mu, for_ratio)
+                assert type(ratio) is Fraction and ratio == Fraction(expected, dimension(lam)), (lam, mu)
+                if not expected:
+                    assert (ratio.numerator, ratio.denominator) == (0, 1), (lam, mu)
             assert chi_column(mu, for_column) == tuple(column), mu
         assert for_chi._values == for_ratio._values == for_column._values
+
+
+def test_column_readers_match_the_per_lambda_masks():
+    # the mask tuple of degree d: p(d) distinct masks, one per λ in
+    # partitions_of order; chi_column and central_column read μ's column
+    # through it as through one _bead_mask per λ
+    memo = CharCache()
+    for d in range(13):
+        lams = _partition_tuples(d, d)
+        masks = _bead_masks(d)
+        assert masks == tuple(_bead_mask(lam) for lam in lams)
+        assert len(set(masks)) == len(masks) == len(partitions_of(d))
+        assert lams == tuple(lam.parts for lam in partitions_of(d))
+        scale = factorial(d)
+        for mu in partitions_of(d):
+            column = _column(d, mu.parts, {})
+            assert chi_column(mu, memo) == tuple(column.get(_bead_mask(lam), 0) for lam in lams), mu
+            size = scale // mu.centralizer_order()
+            expected = {lam: size * column[_bead_mask(lam)] // dimension(Partition(lam))
+                        for lam in lams if _bead_mask(lam) in column}
+            assert central_column(mu.parts, memo) == expected, mu
 
 
 def test_character_ratio_checks_before_building_columns():

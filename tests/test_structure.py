@@ -7,7 +7,14 @@ import pytest
 
 from snhurwitz.characters import CharCache
 from snhurwitz.errors import GenusError, HypothesisError
-from snhurwitz.hurwitz import ConnectedComputer, CoverSpec, RepeatedSpec, brute_force_connected, disconnected
+from snhurwitz.hurwitz import (
+    ConnectedComputer,
+    CoverSpec,
+    RepeatedSpec,
+    brute_force_connected,
+    connected,
+    disconnected,
+)
 from snhurwitz.partitions import Partition, dimension, partitions_of
 from snhurwitz.structure import (
     BTable,
@@ -25,6 +32,8 @@ from snhurwitz.young_trees import central_character_from_trees
 from oracles import (
     _solve_moment_system,
     candidate_moduli,
+    genus0_one_profile_count,
+    minimal_cycle_factorization_count,
     solve_b_connected,
     spectrum,
     spectrum_b_disconnected,
@@ -410,3 +419,36 @@ def test_asymptotic_ratio_approaches_one(cache):
         if last is not None:
             assert err < last
         last = err
+
+
+def test_genus0_one_profile_counts_match_hurwitz_formula(cache):
+    # Hurwitz's formula: no character and no peeling, so past brute force's
+    # d ≤ 8 it is the one check of the connected tables from outside
+    assert [genus0_one_profile_count(P(parts)) for parts in ((3, 2), (4, 2, 1), (5, 3, 2))] == [
+        216, 860160, 9355500000]
+    for d in range(2, 10):
+        nu = P([2] + [1] * (d - 2))
+        for mu in partitions_of(d):
+            spec = RepeatedSpec(CoverSpec(0, d, (mu,)), nu, k=d + mu.length - 2)
+            assert connected(spec, cache) == genus0_one_profile_count(mu), mu
+    for d in range(16, 21):
+        mu, nu = P([d - 5, 3, 2]), P([2] + [1] * (d - 2))
+        table = extract_b_connected(0, d, (mu,), nu, cache)
+        assert table.value_at(d + 1) == genus0_one_profile_count(mu), d
+
+
+def test_long_cycle_counts_match_minimal_factorizations(cache):
+    # a d-cycle into k r-cycles, k(r − 1) = d − 1: H = d^{k−2}
+    assert [minimal_cycle_factorization_count(d, r) for d, r in ((7, 3), (9, 3), (9, 5), (13, 4))] == [
+        7, 81, 1, 169]
+
+    def cases(degrees):
+        return [(d, r, (d - 1) // (r - 1), P([r] + [1] * (d - r)))
+                for d in degrees for r in range(2, d + 1) if (d - 1) % (r - 1) == 0]
+
+    for d, r, k, nu in cases(range(2, 10)):
+        spec = RepeatedSpec(CoverSpec(0, d, (P([d]),)), nu, k=k)
+        assert connected(spec, cache) == minimal_cycle_factorization_count(d, r), (d, r)
+    for d, r, k, nu in cases(range(16, 21)):
+        table = extract_b_connected(0, d, (P([d]),), nu, cache, parity=k % 2)
+        assert table.value_at(k) == minimal_cycle_factorization_count(d, r), (d, r)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from math import factorial
@@ -114,6 +115,19 @@ def test_ratio_sweeps_hold_one_column_per_suffix_length(monkeypatch):
         report = sweep(d, memo)
         assert len(held) == report.checked and max(held) <= d + 1, sweep.__name__
         assert not memo._values
+
+
+def test_sweep_reports_are_pinned():
+    # SHA-256 of to_json() without the time-based runtime, as the benchmark
+    # digests reports; recorded before zero ratios shared one Fraction
+    pinned = {(check_conjecture1, 14): "afc09aa8e3a402f789523de1ee1af359357ba5ffcf3c5cb4754d28353ff70bbd",
+              (check_theorem_B, 14): "fa1306ea3c853f9e7b4c6d79517844b85e1abaa12857dccf15430b27d1fc596b",
+              (check_lemma_rm2, 12): "1e910862a8823bdff408fc36a88ceedc8e1134a4710df3d0896f9c778d176fc4"}
+    for (sweep, d), digest in pinned.items():
+        payload = sweep(d, CharCache()).to_json()
+        payload.pop("runtime")
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, sweep.__name__
 
 
 def test_lemma_l1_entry_trivial_row(cache):
