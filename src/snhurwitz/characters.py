@@ -25,9 +25,8 @@ of the λ ⊢ d in `partitions_of` order.  `chi` reads one value with one
 memo lookup for μ's column and one for λ's mask, and `character_ratio`
 returns the one module-level `_ZERO` for every zero χ (a Fraction is
 immutable, so sharing it is safe), building a Fraction only for a nonzero
-χ.  The entry
-recursion, which strips μ's parts from one λ, is kept in tests/oracles.py
-as the independent cross-check.
+χ.  The entry recursion, which strips μ's parts from one λ, is kept in
+tests/oracles.py as the independent cross-check.
 """
 
 from __future__ import annotations

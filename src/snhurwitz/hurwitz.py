@@ -5,9 +5,9 @@ counts from the degree-convolution recursion that peels off the component
 containing sheet 1, with repeated branch points aggregated by the multiset
 of per-point sub-profiles.  `ConnectedComputer` runs that recursion in two
 forms: on counts at one repeat count, and on tables of eigenfunctions that
-carry every repeat count at once (`t_table`, `tc_table`) below degree d,
-whose top level `peel` sums the components peeled off sheet 1 straight
-into {ν's eigenvalue: coefficient} for `structure` to fold into b(m).
+carry every repeat count at once.  The table form peels in one loop
+(`_peeled`): below degree d it fills `tc_table`, and at degree d (`peel`)
+it reads only ν's eigenvalue, {t: coefficient} for `structure` to fold.
 Both forms carry only the hand-offs a ν-point can make: it fixes m₁(ν)
 sheets, so a δ-sheet piece receives a type a only if δ − m₁(ν) ≤ |a| ≤ δ
 (`NuSplitAlgebra.possible`), and a state with any other type reads 0.
@@ -33,10 +33,8 @@ from math import comb, factorial
 
 from .characters import CharCache, central_character, central_column
 from .errors import BudgetError, ExactnessError, GenusError, SizeMismatchError
-from .partitions import Partition, dimension, partitions_of, sub_multisets
+from .partitions import DEFAULT_BF_BUDGET, Partition, dimension, partitions_of, sub_multisets
 
-#: transitions the permutation-level oracles may count for one spec
-DEFAULT_BF_BUDGET = 4_000_000
 _BF_MAX_DEGREE = 8
 
 
@@ -386,17 +384,16 @@ class ConnectedComputer:
     symbolically.  A piece of degree δ contributes, per ν-point, a factor
     depending only on the hand-off type the point gives that piece; the
     vector of those factors over all types is the piece's eigenfunction
-    (`eig`), and a table maps eigenfunctions to exact coefficients.  Two
-    pieces' eigenfunctions combine by `convolve` over the hand-off splits.
-    Only ν's own eigenvalue, the full type's entry, is read at degree d, so
-    `peel` computes just that entry of each top-level convolution and sums
-    the coefficients by it; `t_table` and `tc_table` build whole
-    eigenfunctions only below the top (they still answer at degree d, for
-    the tests).
+    (`eig`), and a table maps eigenfunctions to exact coefficients.  One
+    loop (`_peeled`) convolves sheet 1's component with the rest over the
+    hand-off splits, at the types asked for: all of them in `tc_table`, and
+    at degree d only the full type, ν's own eigenvalue, in `peel`.  So
+    `t_table` and `tc_table` build whole eigenfunctions only below the top
+    (they still answer at degree d, for the tests).
 
     Both forms read every eigenvalue from the cache's central columns
     (`characters.central_column`); the per-point factors come from `eig`,
-    one vector per (δ, λ) that both forms share, 0 on every type
+    one vector per (δ, λ) that both forms read, 0 on every type
     impossible on δ sheets.  So eigenfunctions that differ only there are
     one, and the tables below degree d keep no entry a cover cannot read.
     The count form raises the active entries of each (`eig`, term) pair of
@@ -419,7 +416,6 @@ class ConnectedComputer:
         self.algebra = NuSplitAlgebra(nu)
         self._memo_t: dict = {}
         self._memo_tc: dict = {}
-        self._eigs: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
         self._sums: dict[tuple[int, tuple], list[tuple[tuple[int, ...], int]]] = {}
         self._columns: dict[int, list[dict]] = {}
         self._t: dict = {}
@@ -511,33 +507,16 @@ class ConnectedComputer:
         return Fraction(count, factorial(self.d))
 
     def eig(self, delta: int, lam: Partition) -> tuple[int, ...]:
-        """λ's factor per ν-point of each hand-off type on a δ-sheet piece;
-        0 for types impossible on δ sheets (`NuSplitAlgebra.possible`)."""
-        key = (delta, lam.parts)
-        hit = self._eigs.get(key)
-        if hit is None:
-            columns = self._columns.get(delta)
-            if columns is None:
-                alg, cache = self.algebra, self.cache
-                columns = [central_column(alg.point_profile(t, delta), cache)
-                           if alg.possible(t, delta) else {} for t in range(len(alg.types))]
-                self._columns[delta] = columns
-            hit = tuple(column.get(lam.parts, 0) for column in columns)
-            self._eigs[key] = hit
-        return hit
-
-    @staticmethod
-    def convolve(fit: list[list[tuple[int, int]]], e1: tuple[int, ...],
-                 e2: tuple[int, ...]) -> tuple[int, ...]:
-        """The eigenfunction of a d1-sheet and a d2-sheet piece together, for
-        the hand-off pairs fit = `NuSplitAlgebra.fitting(d1, d2)`."""
-        out = []
-        for pairs in fit:
-            acc = 0
-            for b, rest in pairs:
-                acc += e1[b] * e2[rest]
-            out.append(acc)
-        return tuple(out)
+        """λ's factor per ν-point of each hand-off type on a δ-sheet piece,
+        read from δ's list of central columns; 0 for types impossible on δ
+        sheets (`NuSplitAlgebra.possible`).  `_character_sum` keeps it."""
+        columns = self._columns.get(delta)
+        if columns is None:
+            alg, cache = self.algebra, self.cache
+            columns = [central_column(alg.point_profile(t, delta), cache)
+                       if alg.possible(t, delta) else {} for t in range(len(alg.types))]
+            self._columns[delta] = columns
+        return tuple(column.get(lam.parts, 0) for column in columns)
 
     def t_table(self, delta: int, omegas: tuple) -> dict[tuple[int, ...], int]:
         """The character sum of a δ-sheet piece, grouped by eigenfunction."""
@@ -559,45 +538,44 @@ class ConnectedComputer:
         if hit is not None:
             return hit
         table = dict(self.t_table(delta, omegas))
-        convolve = self.convolve
-        for d1 in range(1, delta):
-            d2 = delta - d1
-            ways = comb(delta - 1, d1 - 1) * comb(delta, d1)
-            fit = self.algebra.fitting(d1, d2)
-            for om1, om2 in mu_splits(d1, omegas):
-                rest = self.t_table(d2, om2).items()
-                for e1, c1 in self.tc_table(d1, om1).items():
-                    c1 *= ways
-                    for e2, c2 in rest:
-                        e = convolve(fit, e1, e2)
-                        table[e] = table.get(e, 0) - c1 * c2
+        for e, c in self._peeled(delta, omegas, range(len(self.algebra.types))).items():
+            table[e] = table.get(e, 0) + c
         table = {e: c for e, c in table.items() if c}
         self._tc[key] = table
         return table
 
     def peel(self, omegas: tuple) -> dict[int, int]:
         """{f_ν eigenvalue t: coefficient} of the components peeled off
-        sheet 1 at degree d: `tc_table(d, omegas)` less `t_table(d, omegas)`,
-        with each eigenfunction read at the full hand-off type, computed
-        without building either table.  The top level's convolutions compute
-        only their full component, a dot product over the full type's
-        fitting pairs."""
-        d, full = self.d, self.algebra.full
-        out: dict[int, int] = {}
-        for d1 in range(1, d):
-            d2 = d - d1
-            ways = comb(d - 1, d1 - 1) * comb(d, d1)
-            pairs = self.algebra.fitting(d1, d2)[full]
+        sheet 1 at degree d: `tc_table(d, omegas)` less `t_table(d, omegas)`
+        read at the full hand-off type, without building either table."""
+        peeled = self._peeled(self.d, omegas, (self.algebra.full,))
+        return {e[0]: c for e, c in peeled.items() if c}
+
+    def _peeled(self, delta: int, omegas: tuple, types) -> dict[tuple[int, ...], int]:
+        """{a convolution's entries at the listed types: coefficient} over the
+        components peeled off sheet 1 of a δ-sheet piece: a transitive d1-sheet
+        piece (`tc_table`) beside a d2-sheet rest (`t_table`), the entry at
+        type a summing e1[b]·e2[rest] over a's pairs in `fitting(d1, d2)`."""
+        out: dict[tuple[int, ...], int] = {}
+        for d1 in range(1, delta):
+            d2 = delta - d1
+            ways = comb(delta - 1, d1 - 1) * comb(delta, d1)
+            fitting = self.algebra.fitting(d1, d2)
+            fit = [fitting[t] for t in types]
             for om1, om2 in mu_splits(d1, omegas):
                 rest = self.t_table(d2, om2).items()
                 for e1, c1 in self.tc_table(d1, om1).items():
                     c1 *= ways
                     for e2, c2 in rest:
-                        t = 0
-                        for b, r in pairs:
-                            t += e1[b] * e2[r]
-                        out[t] = out.get(t, 0) - c1 * c2
-        return {t: c for t, c in out.items() if c}
+                        e = []
+                        for pairs in fit:
+                            t = 0
+                            for b, r in pairs:
+                                t += e1[b] * e2[r]
+                            e.append(t)
+                        e = tuple(e)
+                        out[e] = out.get(e, 0) - c1 * c2
+        return out
 
 
 def connected(spec: RepeatedSpec, cache: CharCache | None = None) -> Fraction:

@@ -16,6 +16,9 @@ from .errors import CeilingError, ExactnessError, PartitionParseError
 
 #: Largest degree `partitions_of` will enumerate unless told otherwise.
 DEFAULT_ENUMERATION_CEILING = 30
+#: States one brute-force walk may visit: the permutation-level oracles'
+#: transitions for one spec, or the box subsets of one Young-tree walk.
+DEFAULT_BF_BUDGET = 4_000_000
 
 
 class Partition:

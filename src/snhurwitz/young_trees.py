@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import comb, factorial, perm, prod
 from typing import NamedTuple
 
-from .errors import ExactnessError
-from .partitions import Partition
+from .errors import BudgetError, ExactnessError
+from .partitions import DEFAULT_BF_BUDGET, Partition
 
 
 class Box(NamedTuple):
@@ -93,9 +93,13 @@ def _tree_from_boxes(bs: tuple[Box, ...]) -> YoungTree | None:
 
 
 def enumerate_trees(lam: Partition, r: int) -> list[YoungTree]:
-    """All Young trees of order r in the diagram, in a fixed deterministic order."""
+    """All Young trees of order r in the diagram, in a fixed deterministic
+    order; BudgetError if its C(|λ|, r) box subsets exceed DEFAULT_BF_BUDGET."""
     if not 1 <= r <= lam.size:
         raise ValueError(f"r must be in 1..{lam.size}, got {r}")
+    subsets = comb(lam.size, r)
+    if subsets > DEFAULT_BF_BUDGET:
+        raise BudgetError(f"{subsets} box subsets exceed the budget {DEFAULT_BF_BUDGET}")
     all_boxes = [Box(i, j) for i, j in lam.boxes()]
     out = []
     for subset in combinations(all_boxes, r):

@@ -6,7 +6,9 @@ exponents of the table's parity as there are candidate moduli, then solve
 the exact Vandermonde-type moment system.  The values come from
 ConnectedComputer.value, not from the library's eigenvalue-table recursion,
 so the two routes cross-check each other; the candidate support reuses only
-ConnectedComputer's eigenfunction and convolution helpers.
+`ConnectedComputer.eig` and `NuSplitAlgebra.fitting`, and convolves whole
+eigenfunctions here (`convolve`), sharing no convolution code with the
+library's peeling loop.
 
 The spectrum fold builds a disconnected table straight from the signed
 central-character eigenvalues and the character ratios, in Fractions, so it
@@ -33,13 +35,16 @@ The diagonal-hook forms give the central character of the classes (2,1^{d−2}),
 diagonal hooks.  The library reads every hook class from Frobenius's formula
 in λ's beta-numbers instead, so the forms check it at r = 2, 3, 4.
 
-Two classical closed forms give connected counts on a genus-0 target with no
-character and no peeling, in the library's normalization (transitive tuples
-/ d!): Hurwitz's one-profile count with simple branch points (proved by
-Goulden and Jackson, Proc. AMS 125, 1997), and the d^{k−1} minimal
-factorizations of a d-cycle into k r-cycles (Goulden and Jackson, Europ. J.
-Combin. 13, 1992; Dénes 1959 for r = 2).  Past brute force's reach they are
-the only checks of the connected tables that share nothing with the engine.
+Four classical closed forms give connected counts on a genus-0 target with
+no character and no peeling, in the library's normalization (transitive
+tuples / d!): Hurwitz's genus-0 and Vakil's genus-1 one-profile counts with
+simple branch points (proved by Goulden and Jackson, Proc. AMS 125, 1997,
+and Ann. Comb. 3, 1999), Shapiro, Shapiro and Vainshtein's count for the
+one-part profile (d) at every source genus (AMS Transl. 180, 1997), and the
+d^{k−1} minimal factorizations of a d-cycle into k r-cycles (Goulden and
+Jackson, Europ. J. Combin. 13, 1992; Dénes 1959 for r = 2).  Past brute
+force's reach they are the only checks of the connected tables that share
+nothing with the engine.
 """
 
 from __future__ import annotations
@@ -122,6 +127,13 @@ def spectrum(d: int, nu: Partition, cache: CharCache | None = None) -> Spectrum:
     return Spectrum(d, nu, entries)
 
 
+def convolve(fit: list[list[tuple[int, int]]], e1: tuple[int, ...],
+             e2: tuple[int, ...]) -> tuple[int, ...]:
+    """The eigenfunction of a d1-sheet and a d2-sheet piece together, for
+    the hand-off pairs fit = `NuSplitAlgebra.fitting(d1, d2)`."""
+    return tuple(sum(e1[b] * e2[rest] for b, rest in pairs) for pairs in fit)
+
+
 _CANDIDATE_MEMO: dict[tuple[int, tuple[int, ...]], list[int]] = {}
 
 
@@ -146,7 +158,7 @@ def candidate_moduli(d: int, nu: Partition, cache: CharCache | None = None) -> l
             fit = helper.algebra.fitting(d1, delta - d1)
             for e2 in products(delta - d1):
                 for e1 in singles:
-                    out.add(helper.convolve(fit, e1, e2))
+                    out.add(convolve(fit, e1, e2))
         memo[delta] = out
         return out
 
@@ -354,3 +366,43 @@ def minimal_cycle_factorization_count(d: int, r: int) -> Fraction:
     if rem:
         raise ValueError(f"r − 1 = {r - 1} does not divide d − 1 = {d - 1}")
     return Fraction(d) ** (k - 2)
+
+
+def genus1_one_profile_count(mu: Partition) -> Fraction:
+    """Vakil's count of connected genus-1 covers with profile μ over one
+    point and r = d + ℓ(μ) simple branch points (ν = (2,1^{d−2})), proved
+    by Goulden and Jackson (Ann. Comb. 3, 1999):
+
+    H₁(μ) = r!/(24|Aut μ|) · ∏ μᵢ^{μᵢ}/μᵢ! · (d^ℓ − d^{ℓ−1} − Σ_{i≥2} (i−2)!·d^{ℓ−i}·e_i(μ)),
+
+    e_i the i-th elementary symmetric function of μ's parts.
+    """
+    d, ell = mu.size, mu.length
+    e = [1] + [0] * ell
+    for v in mu.parts:
+        for i in range(ell, 0, -1):
+            e[i] += v * e[i - 1]
+    bracket = d**ell - d ** (ell - 1) - sum(factorial(i - 2) * d ** (ell - i) * e[i]
+                                            for i in range(2, ell + 1))
+    aut = prod(factorial(mu.multiplicity(v)) for v in set(mu.parts))
+    return (Fraction(factorial(d + ell), 24 * aut) * bracket
+            * prod(Fraction(v**v, factorial(v)) for v in mu.parts))
+
+
+def one_part_count(d: int, g: int) -> Fraction:
+    """Shapiro, Shapiro and Vainshtein's count of connected genus-g covers
+    with profile (d) over one point and r = d − 1 + 2g simple branch points:
+    H_g((d)) = d^{r−2}·T(r, d−1), T the central factorial numbers of the
+    second kind.  U_j(k) = 4^j·T(k + 2j, k) runs in integers on
+    U_j(k) = U_j(k−2) + k²·U_{j−1}(k), U_0 = 1, U_j(1) = 1 and U_j(0) = 0
+    for j > 0; T(r, d−1) = U_g(d−1)/4^g.
+    """
+    if d < 2 or g < 0:
+        raise ValueError(f"need d ≥ 2 and g ≥ 0, got d={d}, g={g}")
+    u = [1] * d  # U_0(k), k = 0..d−1
+    for _ in range(g):
+        new = [0, 1] + [0] * (d - 2)
+        for k in range(2, d):
+            new[k] = new[k - 2] + k * k * u[k]
+        u = new
+    return Fraction(d) ** (d + 2 * g - 3) * Fraction(u[d - 1], 4**g)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from snhurwitz import characters, verify
+from snhurwitz import characters, verify, young_trees
 from snhurwitz.cli import main
 
 
@@ -38,6 +38,17 @@ def test_f_methods_agree(run):
         for r in (0, 8):
             code, out, err = run("f", "--lambda", "4,3", "--r", str(r), "--method", method)
             assert code == 2 and not out and f"r must be in 1..7, got {r}" in err, (method, r)
+
+
+def test_tree_walks_past_the_budget_exit_2(run, monkeypatch):
+    # C(7, 3) = 35 box subsets against a budget of 34
+    monkeypatch.setattr(young_trees, "DEFAULT_BF_BUDGET", 34)
+    for argv in (("trees", "--lambda", "4,3", "--r", "3"),
+                 ("f", "--lambda", "4,3", "--r", "3", "--method", "trees")):
+        code, out, err = run(*argv)
+        assert code == 2 and not out and "35 box subsets exceed the budget 34" in err, argv
+    code, out, _ = run("f", "--lambda", "4,3", "--r", "3", "--method", "frobenius")
+    assert code == 0 and json.loads(out)["f"]
 
 
 def test_f_value(run):

@@ -82,3 +82,20 @@ def test_grow_is_called_only_from_column():
             readers.update(func.name for node in ast.walk(func)
                            if isinstance(node, ast.Name) and node.id == "_grow")
     assert readers == {"_column"}
+
+
+def test_the_table_form_peels_in_one_loop():
+    # `mu_splits` is read by one loop per form: the count form's
+    # `_tuples_transitive` and the table form's `_peeled`; no convolution
+    # helper is left beside the loop
+    callers = set()
+    for func in ast.walk(ast.parse((PACKAGE / "hurwitz.py").read_text())):
+        if isinstance(func, ast.FunctionDef):
+            callers.update(func.name for node in ast.walk(func)
+                           if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                           and node.func.id == "mu_splits")
+    assert callers == {"_tuples_transitive", "_peeled"}
+    defined = {node.name for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert "convolve" not in defined

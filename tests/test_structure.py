@@ -33,7 +33,9 @@ from oracles import (
     _solve_moment_system,
     candidate_moduli,
     genus0_one_profile_count,
+    genus1_one_profile_count,
     minimal_cycle_factorization_count,
+    one_part_count,
     solve_b_connected,
     spectrum,
     spectrum_b_disconnected,
@@ -452,3 +454,45 @@ def test_long_cycle_counts_match_minimal_factorizations(cache):
     for d, r, k, nu in cases(range(16, 21)):
         table = extract_b_connected(0, d, (P([d]),), nu, cache, parity=k % 2)
         assert table.value_at(k) == minimal_cycle_factorization_count(d, r), (d, r)
+
+
+def test_genus1_one_profile_counts_match_vakils_formula(cache):
+    # r = d + ℓ(μ) simple branch points and one μ-point on a genus-0 target
+    assert [genus1_one_profile_count(P(parts)) for parts in ((3, 2), (4, 1, 1), (5, 3, 1))] == [
+        26460, 9838080, 996360750000]
+    for d in range(2, 8):
+        nu = P([2] + [1] * (d - 2))
+        for mu in partitions_of(d):
+            spec = RepeatedSpec(CoverSpec(0, d, (mu,)), nu, k=d + mu.length)
+            assert connected(spec, cache) == genus1_one_profile_count(mu), mu
+
+
+def test_one_part_counts_match_central_factorial_numbers(cache):
+    # μ = (d) and r = d − 1 + 2g simple branch points, at every source genus g
+    assert [one_part_count(d, g) for d, g in ((3, 1), (4, 2), (5, 3), (2, 7))] == [
+        9, 5824, 33203125, Fraction(1, 2)]
+    for d in range(2, 8):
+        nu = P([2] + [1] * (d - 2))
+        for g in range(6):
+            spec = RepeatedSpec(CoverSpec(0, d, (P([d]),)), nu, g=g)
+            assert connected(spec, cache) == one_part_count(d, g), (d, g)
+
+
+def test_closed_forms_hold_on_the_tables_at_degree_30(cache):
+    # all four closed forms through the table route at d = 30, and (c) out
+    # to g = 400; for odd r the colength of ν is even, so the table is built
+    # at the parity of k
+    def value(mu, nu, k):
+        d = nu.size
+        return extract_b_connected(0, d, (mu,), nu, cache, parity=k % 2).value_at(k)
+
+    simple = P([2] + [1] * 28)
+    assert value(P([25, 3, 2]), simple, 31) == genus0_one_profile_count(P([25, 3, 2]))
+    assert value(P([24, 4, 2]), simple, 33) == genus1_one_profile_count(P([24, 4, 2]))
+    for d, genera in ((30, (0, 1, 2, 5, 20, 100, 400)), (7, (400,))):
+        table = extract_b_connected(0, d, (P([d]),), P([2] + [1] * (d - 2)), cache, parity=(d - 1) % 2)
+        for g in genera:
+            assert table.value_at(d - 1 + 2 * g) == one_part_count(d, g), (d, g)
+    for d, r in ((29, 8), (30, 2)):
+        k = (d - 1) // (r - 1)
+        assert value(P([d]), P([r] + [1] * (d - r)), k) == minimal_cycle_factorization_count(d, r), (d, r)

@@ -3,7 +3,9 @@ from math import comb, factorial
 import pytest
 
 from oracles import diagonal_hook_central_character, hook_envelope, induced_graph, straighten
+from snhurwitz import young_trees
 from snhurwitz.characters import central_column, one_cycle_central_character
+from snhurwitz.errors import BudgetError
 from snhurwitz.partitions import Partition, partitions_of
 from snhurwitz.young_trees import (
     Box,
@@ -32,6 +34,21 @@ def test_enumerate_trees_counts():
     assert len(enumerate_trees(P([2, 2]), 2)) == 4
     for d in (3, 5, 7):
         assert len(enumerate_trees(P([1] * d), d)) == 1
+
+
+def test_tree_walk_stops_at_the_budget(monkeypatch):
+    # the walk visits C(|λ|, r) box subsets; past the brute-force budget it
+    # raises before visiting any
+    lam = P([4, 3, 3])
+    walked = len(enumerate_trees(lam, 4))
+    monkeypatch.setattr(young_trees, "DEFAULT_BF_BUDGET", comb(10, 4))
+    assert len(enumerate_trees(lam, 4)) == walked
+    assert central_character_from_trees(lam, 4) == frobenius_central_character(4, lam)
+    monkeypatch.setattr(young_trees, "DEFAULT_BF_BUDGET", comb(10, 4) - 1)
+    for walk in (lambda: enumerate_trees(lam, 4), lambda: central_character_from_trees(lam, 4)):
+        with pytest.raises(BudgetError, match="210 box subsets exceed the budget 209"):
+            walk()
+    assert enumerate_trees(lam, 3)
 
 
 def test_vert_and_weight_conventions():
