@@ -1,32 +1,34 @@
 """Exact irreducible characters of the symmetric group.
 
-χ is read from whole columns {λ: χ_λ(μ)} of the character table, each built
-by the border-strip (Murnaghan–Nakayama) rule on beta-sets held as bit
-masks.  λ ⊢ d sits on d beads: part λ_i (i from 1) at bit λ_i + d − i, so
-the zero parts fill the low bits and each λ has one mask.  The column walk
-starts from the empty diagram on d beads and adds μ's parts as border
-strips, smallest first: a bead at p moves to an empty p + r, with the sign
-of the beads strictly between.
+χ is read from whole columns of the character table, each a tuple
+(χ_λ(μ) for λ ⊢ |μ| in `partitions_of` order), zeros kept, built by the
+border-strip (Murnaghan–Nakayama) rule.  The column walk starts from the
+empty diagram and adds μ's parts as border strips, smallest first, through
+one strip table per (k, r), `_strips(k, r)`: for each λ ⊢ k, the positions
+in partitions_of(k + r) of the λ plus a strip of length r, split by even
+and odd height.  The table is built once from beta-sets held as bit masks
+(`_bead_masks`: λ on k + r beads, a bead at p moving to an empty p + r,
+with the sign of the beads strictly between), the only place masks remain.
 
 `chi`, `chi_column` (behind `cache warm`) and `character_ratio` read the
 same columns, memoized on (d, μ-suffix) in the `CharCache` passed in.
 `_column` is the one constructor of a χ column: it grows μ's column from
-that of μ's suffix μ[1:].  `walk_columns` visits every μ ⊢ d by a
-depth-first walk of the suffix tree that builds each column through
-`_column` from the parent column it holds, and keeps only the columns on
-its path in that memo; the conjecture 1 and theorem B sweeps read their
-columns from it, in bounded memory.
+that of μ's suffix μ[1:] through `_strips(|μ| − μ[0], μ[0])`.
+`walk_columns` visits every μ ⊢ d by a depth-first walk of the suffix tree
+that builds each column through `_column` from the parent column it holds,
+and keeps only the columns on its path in that memo; the conjecture 1 and
+theorem B sweeps read their columns from it, in bounded memory.
 `central_column` keeps a second memo on the same cache: columns of
 class-sum eigenvalues {λ parts: f_μ(λ)}, each built once per μ from μ's χ
 column with every value checked to be an integer; `central_character` and
-`hurwitz` read every f there.  `chi_column` and `central_column` read a χ
-column through one memoized tuple per degree, `_bead_masks(d)`: the masks
-of the λ ⊢ d in `partitions_of` order.  `chi` reads one value with one
-memo lookup for μ's column and one for λ's mask, and `character_ratio`
-returns the one module-level `_ZERO` for every zero χ (a Fraction is
-immutable, so sharing it is safe), building a Fraction only for a nonzero
-χ.  The entry recursion, which strips μ's parts from one λ, is kept in
-tests/oracles.py as the independent cross-check.
+`hurwitz` read every f there.  `chi_column` returns the memo's tuple
+itself, and `central_column` zips it with the λ ⊢ d.  `chi` reads one
+value with one memo lookup for μ's column and one for λ's position, and
+`character_ratio` returns the one module-level `_ZERO` for every zero χ
+(a Fraction is immutable, so sharing it is safe), building a Fraction only
+for a nonzero χ.  The entry recursion, which strips μ's parts from one λ,
+is kept in tests/oracles.py as the independent cross-check, beside the
+box-by-box border strips that check the strip table.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import factorial
 
 from .errors import CeilingError, ExactnessError, SizeMismatchError
@@ -42,9 +43,10 @@ from .partitions import DEFAULT_ENUMERATION_CEILING, Partition, _dimension, _par
 
 
 class CharCache:
-    """Two column memos, with the zero values dropped: χ columns
-    {(d, μ-suffix): {d-bead mask of λ: χ_λ(μ)}} in `_values`, and central
-    columns {μ parts: {λ parts: f_μ(λ)}} in `_central`.
+    """Two column memos: χ columns {(d, μ-suffix): (χ_λ(μ) for λ in
+    partitions_of(|μ|))}, zeros kept, in `_values`, and central columns
+    {μ parts: {λ parts: f_μ(λ)}}, with the zero values dropped, in
+    `_central`.
 
     The χ memo keeps every column `chi`, `chi_column`, `character_ratio`
     and `central_column` build.  The columns `walk_columns` adds are
@@ -62,7 +64,7 @@ class CharCache:
         if path is not None:
             raise ValueError("the character memo is in memory only; path must be None")
         self.max_degree = max_degree
-        self._values: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+        self._values: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
         self._central: dict[tuple[int, ...], dict[int, int]] = {}
 
     def stats(self) -> dict:
@@ -84,42 +86,66 @@ _ZERO = Fraction(0)
 
 
 @lru_cache(maxsize=None)
-def _bead_mask(parts: tuple[int, ...]) -> int:
-    """λ's beta-set on d = |λ| beads."""
-    d = sum(parts)
-    zeros = d - len(parts)
-    return sum(1 << (part + d - 1 - i) for i, part in enumerate(parts)) | (1 << zeros) - 1
+def _bead_masks(d: int) -> tuple[int, ...]:
+    """The beta-sets on d beads of the λ ⊢ d, in partitions_of order: part
+    λ_i (i from 1) at bit λ_i + d − i, the zero parts filling the low bits."""
+    return tuple(sum(1 << (part + d - 1 - i) for i, part in enumerate(lam)) | ((1 << (d - len(lam))) - 1)
+                 for lam in _partition_tuples(d, d))
 
 
 @lru_cache(maxsize=None)
-def _bead_masks(d: int) -> tuple[int, ...]:
-    """The bead masks of the λ ⊢ d, in partitions_of order."""
-    return tuple(map(_bead_mask, _partition_tuples(d, d)))
+def _strips(k: int, r: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """For each λ ⊢ k in partitions_of order, the positions in
+    partitions_of(k + r) of the ν = λ + a border strip of length r, split
+    into (even height, odd height).
 
-
-def _grow(column: dict[int, int], r: int) -> dict[int, int]:
-    """Add a border strip of length r to every diagram of a column."""
-    between = (1 << (r - 1)) - 1
-    out: dict[int, int] = {}
-    for mask, value in column.items():
+    λ sits on k + r beads, enough for any strip, so the table serves every
+    degree's walk: each bead at p with p + r empty moves to p + r, and the
+    strip's height is the number of beads strictly between.
+    """
+    index = {mask: j for j, mask in enumerate(_bead_masks(k + r))}
+    between, low_beads = (1 << (r - 1)) - 1, (1 << r) - 1
+    table = []
+    for mask in _bead_masks(k):
+        mask = (mask << r) | low_beads
+        even: list[int] = []
+        odd: list[int] = []
         tails = mask & ~(mask >> r)  # set bits p with bit p + r clear
         while tails:
             low = tails & -tails
             tails ^= low
-            new = mask ^ low ^ (low << r)
-            if ((mask >> low.bit_length()) & between).bit_count() & 1:
-                out[new] = out.get(new, 0) - value
-            else:
-                out[new] = out.get(new, 0) + value
-    return {mask: value for mask, value in out.items() if value}
+            height = ((mask >> low.bit_length()) & between).bit_count()
+            (odd if height & 1 else even).append(index[mask ^ low ^ (low << r)])
+        table.append((tuple(even), tuple(odd)))
+    return tuple(table)
 
 
-def _column(d: int, mu: tuple[int, ...], columns: dict) -> dict[int, int]:
-    """{d-bead mask of λ: χ_λ(μ)} over the λ ⊢ |μ| with χ_λ(μ) ≠ 0."""
+@lru_cache(maxsize=None)
+def _positions(d: int) -> dict[tuple[int, ...], int]:
+    """{λ parts: λ's position in partitions_of(d)}."""
+    return {lam: j for j, lam in enumerate(_partition_tuples(d, d))}
+
+
+def _column(d: int, mu: tuple[int, ...], columns: dict) -> tuple[int, ...]:
+    """(χ_λ(μ) for λ in partitions_of(|μ|)), memoized under (d, μ) in
+    `columns`: μ[1:]'s column, each nonzero value carried along the strips
+    of `_strips(|μ| − μ[0], μ[0])` with their signs."""
     key = (d, mu)
     hit = columns.get(key)
     if hit is None:
-        hit = _grow(_column(d, mu[1:], columns), mu[0]) if mu else {(1 << d) - 1: 1}
+        if mu:
+            r = mu[0]
+            k = sum(mu) - r
+            out = [0] * len(_bead_masks(k + r))
+            for value, (even, odd) in zip(_column(d, mu[1:], columns), _strips(k, r)):
+                if value:
+                    for j in even:
+                        out[j] += value
+                    for j in odd:
+                        out[j] -= value
+            hit = tuple(out)
+        else:
+            hit = (1,)
         columns[key] = hit
     return hit
 
@@ -175,20 +201,20 @@ def chi(lam: Partition, mu: Partition, cache: CharCache | None = None) -> int:
     column = cache._values.get((d, mu.parts))
     if column is None:
         column = _column(d, mu.parts, cache._values)
-    return column.get(_bead_mask(lam.parts), 0)
+    return column[_positions(d)[lam.parts]]
 
 
 def chi_column(mu: Partition, cache: CharCache | None = None) -> tuple[int, ...]:
     """The character-table column (χ_λ(μ) for λ in partitions_of(|μ|)), in
-    that order, from one walk."""
+    that order: the χ memo's own tuple."""
     d = mu.size
-    column = _column(d, mu.parts, _checked(d, cache)._values)
-    return tuple(map(column.get, _bead_masks(d), repeat(0)))
+    return _column(d, mu.parts, _checked(d, cache)._values)
 
 
 def central_column(mu: tuple[int, ...], cache: CharCache | None = None) -> dict[tuple[int, ...], int]:
     """{λ parts: f_μ(λ)} over the λ ⊢ |μ| with f_μ(λ) ≠ 0, built once per
-    cache from μ's χ column with every value checked to be an integer."""
+    cache from μ's χ column, zipped with partitions_of(|μ|), with every
+    value checked to be an integer."""
     d = sum(mu)
     cache = _checked(d, cache)
     hit = cache._central.get(mu)
@@ -196,8 +222,7 @@ def central_column(mu: tuple[int, ...], cache: CharCache | None = None) -> dict[
         chis = _column(d, mu, cache._values)
         scale = factorial(d) // Partition(mu).centralizer_order()  # the class size
         hit = {}
-        for lam, mask in zip(_partition_tuples(d, d), _bead_masks(d)):
-            value = chis.get(mask)
+        for lam, value in zip(_partition_tuples(d, d), chis):
             if value:
                 f, rem = divmod(scale * value, _dimension(lam))
                 if rem:

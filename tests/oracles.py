@@ -18,7 +18,9 @@ The entry recursion evaluates χ_λ(μ) one value at a time: it strips μ's
 parts, largest first, as border strips from λ's beta-set, memoized on
 (beta-set mask, μ-suffix).  The library reads χ only from whole columns
 built the other way round (adding μ's parts to the empty diagram, smallest
-first), so the two share no code and each checks the other.
+first), so the two share no code and each checks the other.  The strips the
+columns add, each with its sign, are checked on their own against
+`border_strips`, which finds them in the diagrams box by box, with no beads.
 
 The Fraction scan is the ratio sweeps' λ-scan with every comparison made on
 Fractions, one pair at a time, against which the library's integer
@@ -102,6 +104,28 @@ def chi_entries(lam: Partition, mu: Partition, memo: dict | None = None) -> int:
     if lam.size != mu.size:
         raise SizeMismatchError(f"|λ|={lam.size} but |μ|={mu.size}")
     return _entry(_beta_mask(lam.parts), mu.parts, _ENTRY_MEMO if memo is None else memo)
+
+
+def border_strips(lam: Partition, r: int) -> dict[Partition, int]:
+    """{ν: (−1)^{rows(ν/λ) − 1}} over the ν ⊇ λ with |ν/λ| = r whose skew
+    diagram ν/λ is connected (boxes joined across shared edges) and holds no
+    2×2 square, tested box by box on every ν ⊢ |λ| + r."""
+    out = {}
+    for nu in partitions_of(lam.size + r):
+        if any(nu.part(i) < lam.part(i) for i in range(1, lam.length + 1)):
+            continue
+        skew = {(i, j) for i in range(1, nu.length + 1) for j in range(lam.part(i) + 1, nu.part(i) + 1)}
+        if any({(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= skew for i, j in skew):
+            continue
+        seen, todo = set(), [min(skew)]
+        while todo:
+            i, j = todo.pop()
+            if (i, j) in skew and (i, j) not in seen:
+                seen.add((i, j))
+                todo += [(i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)]
+        if seen == skew:
+            out[nu] = (-1) ** (len({i for i, _ in skew}) - 1)
+    return out
 
 
 @dataclass(frozen=True)

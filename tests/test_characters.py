@@ -3,13 +3,12 @@ from itertools import permutations
 from math import factorial
 
 import pytest
-from oracles import chi_entries
+from oracles import border_strips, chi_entries
 
 from snhurwitz.characters import (
     CharCache,
-    _bead_mask,
-    _bead_masks,
     _column,
+    _strips,
     central_character,
     central_column,
     character_ratio,
@@ -176,10 +175,11 @@ def test_central_columns_match_chi_entries():
 
 
 def test_non_integral_central_column_raises():
-    # a χ column with χ_{(2,1)}(1³) = 1 gives f = 3!·1/(3!·2), not an integer
+    # a χ column with χ_{(2,1)}(1³) = 1, in partitions_of(3) order, gives
+    # f = 3!·1/(3!·2), not an integer
     memo = CharCache()
     lam, mu = Partition([2, 1]), Partition([1, 1, 1])
-    memo._values[(3, mu.parts)] = {_bead_mask(lam.parts): 1}
+    memo._values[(3, mu.parts)] = (0, 1, 0)
     with pytest.raises(ExactnessError, match=r"mu=1,1,1, lam=2,1"):
         central_character(mu, lam, memo)
     assert not memo._central
@@ -227,25 +227,37 @@ def test_character_ratio_columns_match_chi_entries():
         assert for_chi._values == for_ratio._values == for_column._values
 
 
-def test_column_readers_match_the_per_lambda_masks():
-    # the mask tuple of degree d: p(d) distinct masks, one per λ in
-    # partitions_of order; chi_column and central_column read μ's column
-    # through it as through one _bead_mask per λ
+def test_column_readers_read_the_memo_tuple():
+    # chi_column returns μ's memo tuple itself: p(d) values of χ_λ(μ), zeros
+    # kept, in partitions_of order; central_column reads the same tuple
     memo = CharCache()
     for d in range(13):
-        lams = _partition_tuples(d, d)
-        masks = _bead_masks(d)
-        assert masks == tuple(_bead_mask(lam) for lam in lams)
-        assert len(set(masks)) == len(masks) == len(partitions_of(d))
-        assert lams == tuple(lam.parts for lam in partitions_of(d))
+        lams = partitions_of(d)
         scale = factorial(d)
-        for mu in partitions_of(d):
-            column = _column(d, mu.parts, {})
-            assert chi_column(mu, memo) == tuple(column.get(_bead_mask(lam), 0) for lam in lams), mu
+        for mu in lams:
+            column = chi_column(mu, memo)
+            assert column is memo._values[(d, mu.parts)], mu
+            assert len(column) == len(lams), mu
+            assert column == tuple(chi(lam, mu, memo) for lam in lams), mu
             size = scale // mu.centralizer_order()
-            expected = {lam: size * column[_bead_mask(lam)] // dimension(Partition(lam))
-                        for lam in lams if _bead_mask(lam) in column}
+            expected = {lam.parts: size * value // dimension(lam)
+                        for lam, value in zip(lams, column) if value}
             assert central_column(mu.parts, memo) == expected, mu
+
+
+def test_strips_are_the_border_strips_of_each_diagram():
+    # _strips(k, r) against the oracle's box-by-box border strips at every
+    # k + r ≤ 14: for each λ ⊢ k, the even- and odd-height lists name each ν
+    # by its position in partitions_of(k + r), once, with sign (−1)^height
+    for n in range(1, 15):
+        nus = partitions_of(n)
+        for r in range(1, n + 1):
+            table = _strips(n - r, r)
+            assert len(table) == len(partitions_of(n - r))
+            for lam, (even, odd) in zip(partitions_of(n - r), table):
+                assert len(set(even + odd)) == len(even) + len(odd), (lam, r)
+                found = {nus[j]: 1 for j in even} | {nus[j]: -1 for j in odd}
+                assert found == border_strips(lam, r), (lam, r)
 
 
 def test_character_ratio_checks_before_building_columns():

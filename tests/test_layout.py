@@ -73,15 +73,17 @@ def test_verify_sits_below_structure_and_hurwitz():
     assert not _internal_imports()["verify"] & {"structure", "hurwitz"}
 
 
-def test_grow_is_called_only_from_column():
-    # `_column` is the one constructor of a χ column; no other function
-    # calls or reads `_grow`
+def test_strips_are_read_only_by_column():
+    # `_column` is the one constructor of a χ column: no other function
+    # calls or reads the strip table, and no `_grow` is left beside it
+    tree = ast.parse((PACKAGE / "characters.py").read_text())
     readers = set()
-    for func in ast.walk(ast.parse((PACKAGE / "characters.py").read_text())):
+    for func in ast.walk(tree):
         if isinstance(func, ast.FunctionDef):
             readers.update(func.name for node in ast.walk(func)
-                           if isinstance(node, ast.Name) and node.id == "_grow")
+                           if isinstance(node, ast.Name) and node.id == "_strips")
     assert readers == {"_column"}
+    assert "_grow" not in {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
 
 
 def test_the_table_form_peels_in_one_loop():
