@@ -6,8 +6,12 @@ containing sheet 1, with repeated branch points aggregated by the multiset
 of per-point sub-profiles.  `ConnectedComputer` runs that recursion in two
 forms: on counts at one repeat count, and on tables of eigenfunctions that
 carry every repeat count at once.  The table form peels in one loop
-(`_peeled`): below degree d it fills `tc_table`, and at degree d (`peel`)
+(`_peeled`), which convolves a whole column of first pieces with each rest
+entry at once: below degree d it fills `tc_table`, and at degree d (`peel`)
 it reads only ν's eigenvalue, {t: coefficient} for `structure` to fold.
+The count form asks for no first piece that Riemann–Hurwitz leaves empty:
+a transitive δ₁-sheet piece of a genus-h target has an even total colength
+of at least δ₁(2 − 2h) − 2.
 Both forms carry only the hand-offs a ν-point can make: it fixes m₁(ν)
 sheets, so a δ-sheet piece receives a type a only if δ − m₁(ν) ≤ |a| ≤ δ
 (`NuSplitAlgebra.possible`), and a state with any other type reads 0.
@@ -30,6 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import comb, factorial
+from operator import add, mul
 
 from .characters import CharCache, central_character, central_column
 from .errors import BudgetError, ExactnessError, GenusError, SizeMismatchError
@@ -301,7 +306,9 @@ class NuSplitAlgebra:
     When a cover splits, every ν-point hands each component a sub-multiset of
     ν's non-unit parts, and unit parts pad each component up to its degree.
     The possible hand-offs are indexed here once per ν, all read from
-    `sub_multisets`: `types` lists the sub-multisets, `choices[a]` the
+    `sub_multisets`: `types` lists the sub-multisets, `tsum` their sizes,
+    `col` their colengths |a| − len(a) (the colength of the profile a point
+    of type a shows a piece of any degree), `choices[a]` the
     (taken, left-behind) index pairs of a two-way split of type a,
     `fitting` keeps the pairs two given degrees can absorb, and
     `point_profile` rebuilds the actual partition a point shows to a
@@ -319,6 +326,7 @@ class NuSplitAlgebra:
         self.types = [taken for taken, _ in sub_multisets(big)]
         self.tindex = {t: i for i, t in enumerate(self.types)}
         self.tsum = [sum(t) for t in self.types]
+        self.col = [sum(t) - len(t) for t in self.types]
         self.units = nu.multiplicity(1)
         self.full = self.tindex[big]
         self.choices = [[(self.tindex[taken], self.tindex[rest]) for taken, rest in sub_multisets(a)]
@@ -363,8 +371,12 @@ def _placements(n: int, slots: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     given number of slots, takes[j] of them in slot j; none without slots."""
     if slots <= 1:
         return (((n,), 1),) if slots else ()
-    return tuple(((take,) + rest, comb(n, take) * ways)
-                 for take in range(n + 1) for rest, ways in _placements(n - take, slots - 1))
+    out = []
+    ways = 1  # comb(n, take), stepped along take
+    for take in range(n + 1):
+        out += [((take,) + rest, ways * w) for rest, w in _placements(n - take, slots - 1)]
+        ways = ways * (n - take) // (take + 1)
+    return tuple(out)
 
 
 class ConnectedComputer:
@@ -378,7 +390,12 @@ class ConnectedComputer:
 
     The count form (`value`) runs the recursion at one repeat count.  Its
     memos persist across repeat counts, so sampling many k against one
-    family is cheap.
+    family is cheap.  It skips the first pieces that Riemann–Hurwitz
+    empties: a transitive δ₁-sheet piece with fixed profiles ω₁ needs its
+    points to bring a colength of at least δ₁(2 − 2h) − 2 − Σ l*(ω₁), of
+    that floor's parity (`_point_splits`), and any other piece counts 0.
+    Only first pieces are skipped, never the state asked for, so `value`
+    computes even a count that the formula makes 0.
 
     The table form (`t_table`, `tc_table`) carries the whole k-dependence
     symbolically.  A piece of degree δ contributes, per ν-point, a factor
@@ -461,18 +478,38 @@ class ConnectedComputer:
         self._memo_t[key] = value
         return value
 
-    def _point_splits(self, delta1: int, delta2: int, counts: tuple[int, ...]):
-        """Yield (counts1, counts2, ways) over per-point sub-profile choices:
-        each type's points are placed among the splits that fit, and ways
-        counts the labelled placements."""
+    def _point_splits(self, delta1: int, delta2: int, counts: tuple[int, ...], floor: int):
+        """Yield (counts1, counts2, ways) over per-point sub-profile choices
+        that can leave a transitive first piece: each type's points are
+        placed among the splits that fit, and ways counts the labelled
+        placements.  Only choices whose points give the first piece a
+        colength (`NuSplitAlgebra.col`) of at least floor, and of floor's
+        parity, are yielded; none when no choice reaches the floor."""
         fitting = self.algebra.fitting(delta1, delta2)
-        active = [fitting[t] for t, n in enumerate(counts) if n]
-        places = [_placements(n, len(fitting[t])) for t, n in enumerate(counts) if n]
+        col = self.algebra.col
+        active = []
+        places = []
+        reach = 0
+        for t, n in enumerate(counts):
+            if n:
+                valid = fitting[t]
+                if not valid:
+                    return
+                gain = [col[b] for b, _ in valid]  # colength each pair hands the first piece
+                reach += n * max(gain)
+                active.append(valid)
+                places.append([(takes, w, sum(map(mul, takes, gain)))
+                               for takes, w in _placements(n, len(valid))])
+        if reach < floor:
+            return
         for choice in product(*places):
+            x = sum(c for _, _, c in choice)
+            if x < floor or (x - floor) & 1:
+                continue
             c1 = [0] * len(counts)
             c2 = [0] * len(counts)
             ways = 1
-            for valid, (takes, w) in zip(active, choice):
+            for valid, (takes, w, _) in zip(active, choice):
                 ways *= w
                 for (b, rest), take in zip(valid, takes):
                     c1[b] += take
@@ -489,7 +526,10 @@ class ConnectedComputer:
             delta2 = delta - delta1
             sheet_ways = comb(delta - 1, delta1 - 1)
             for om1, om2 in mu_splits(delta1, omegas):
-                for c1, c2, ways in self._point_splits(delta1, delta2, counts):
+                # Riemann–Hurwitz: a transitive δ₁-sheet piece has an even
+                # total colength of at least δ₁(2 − 2h) − 2
+                floor = delta1 * (2 - 2 * self.h) - 2 - sum(delta1 - len(w) for w in om1)
+                for c1, c2, ways in self._point_splits(delta1, delta2, counts, floor):
                     t_first = self._tuples_transitive(delta1, c1, om1)
                     if not t_first:
                         continue
@@ -549,13 +589,19 @@ class ConnectedComputer:
         sheet 1 at degree d: `tc_table(d, omegas)` less `t_table(d, omegas)`
         read at the full hand-off type, without building either table."""
         peeled = self._peeled(self.d, omegas, (self.algebra.full,))
-        return {e[0]: c for e, c in peeled.items() if c}
+        return {t: c for t, c in peeled.items() if c}
 
-    def _peeled(self, delta: int, omegas: tuple, types) -> dict[tuple[int, ...], int]:
+    def _peeled(self, delta: int, omegas: tuple, types) -> dict:
         """{a convolution's entries at the listed types: coefficient} over the
         components peeled off sheet 1 of a δ-sheet piece: a transitive d1-sheet
         piece (`tc_table`) beside a d2-sheet rest (`t_table`), the entry at
-        type a summing e1[b]·e2[rest] over a's pairs in `fitting(d1, d2)`."""
+        type a summing e1[b]·e2[rest] over a's pairs in `fitting(d1, d2)`.
+        With one listed type the key is that entry itself, not a 1-tuple.
+
+        Each rest entry e2 meets all of the first table's keys at once: a
+        type's column is the elementwise sum, over its pairs with
+        e2[rest] ≠ 0, of the first table's row b scaled by e2[rest], so a
+        pair whose rest entry is 0 costs nothing."""
         out: dict[tuple[int, ...], int] = {}
         for d1 in range(1, delta):
             d2 = delta - d1
@@ -563,17 +609,25 @@ class ConnectedComputer:
             fitting = self.algebra.fitting(d1, d2)
             fit = [fitting[t] for t in types]
             for om1, om2 in mu_splits(d1, omegas):
-                rest = self.t_table(d2, om2).items()
-                for e1, c1 in self.tc_table(d1, om1).items():
-                    c1 *= ways
-                    for e2, c2 in rest:
-                        e = []
-                        for pairs in fit:
-                            t = 0
-                            for b, r in pairs:
-                                t += e1[b] * e2[r]
-                            e.append(t)
-                        e = tuple(e)
+                first = self.tc_table(d1, om1)
+                if not first:
+                    continue
+                coeffs = [c * ways for c in first.values()]
+                # row b: e1[b] down the first table's keys
+                rows = list(zip(*first))
+                zeros = [0] * len(coeffs)
+                for e2, c2 in self.t_table(d2, om2).items():
+                    columns = []
+                    for pairs in fit:
+                        column = zeros
+                        for b, r in pairs:
+                            x = e2[r]
+                            if x:
+                                part = rows[b] if x == 1 else [v * x for v in rows[b]]
+                                column = part if column is zeros else list(map(add, column, part))
+                        columns.append(column)
+                    keys = zip(*columns) if len(columns) > 1 else columns[0]
+                    for e, c1 in zip(keys, coeffs):
                         out[e] = out.get(e, 0) - c1 * c2
         return out
 

@@ -28,6 +28,8 @@ from snhurwitz.hurwitz import (
 )
 from snhurwitz.partitions import Partition, parse, partitions_of
 
+from oracles import convolve
+
 P = Partition
 
 
@@ -546,3 +548,73 @@ def test_fold_is_the_full_component_of_the_top_table(cache):
                     assert {t: c for t, c in got.items() if c} == expected, (d, nu, h, mus)
                     checks += 1
     assert checks == 120
+
+
+def test_count_form_asks_for_no_first_piece_riemann_hurwitz_empties(cache, monkeypatch):
+    # every state `value` asks for below the top is a first piece; by
+    # Riemann–Hurwitz a transitive δ-sheet piece of a genus-h target has an
+    # even total colength of at least δ(2 − 2h) − 2, so one below that floor
+    # or of odd colength reads 0 and is never asked for.  Colengths are
+    # taken from the partitions themselves, not from the algebra's `col`
+    asked = []
+    original = ConnectedComputer._tuples_transitive
+
+    def spy(self, delta, counts, omegas):
+        asked.append((self, delta, counts, omegas))
+        return original(self, delta, counts, omegas)
+
+    monkeypatch.setattr(ConnectedComputer, "_tuples_transitive", spy)
+    checks = 0
+    for nu in (P([2, 2, 1, 1, 1, 1, 1]), P([3, 2, 1, 1, 1]), P([2, 1, 1, 1, 1, 1, 1])):
+        d = nu.size
+        for h in (0, 1, 2):
+            for mus in [(), (P([2, 2] + [1] * (d - 4)),)]:
+                comp = ConnectedComputer(h, d, mus, nu, cache)
+                alg = comp.algebra
+                for k in (2, 4):
+                    asked.clear()
+                    comp.value(k)
+                    for who, delta, counts, omegas in asked[1:]:
+                        assert who is comp
+                        colength = sum(n * P(alg.point_profile(t, delta)).colength
+                                       for t, n in enumerate(counts) if n)
+                        colength += sum(P(om).colength for om in omegas)
+                        where = (nu, h, mus, k, delta, counts, omegas)
+                        assert colength % 2 == 0 and colength >= delta * (2 - 2 * h) - 2, where
+                        checks += 1
+    assert checks > 0
+
+
+def test_peeled_matches_the_convolve_oracle(cache):
+    # the column-wise convolution against whole-eigenfunction `convolve`,
+    # summed over the same splits; a single listed type keys by its entry
+    checks = 0
+    for nu in (P([2, 2, 1, 1, 1]), P([3, 2, 1, 1, 1]), P([4, 3, 2])):
+        d = nu.size
+        for h in (0, 1, 2):
+            comp = ConnectedComputer(h, d, (), nu, cache)
+            alg = comp.algebra
+            every = range(len(alg.types))
+            for delta in range(1, d + 1):
+                for omegas in [(), ((2,) + (1,) * (delta - 2) if delta > 1 else (1,),)]:
+                    expected: dict[tuple[int, ...], int] = {}
+                    for d1 in range(1, delta):
+                        ways = comb(delta - 1, d1 - 1) * comb(delta, d1)
+                        fit = alg.fitting(d1, delta - d1)
+                        for om1, om2 in mu_splits(d1, omegas):
+                            for e1, c1 in comp.tc_table(d1, om1).items():
+                                for e2, c2 in comp.t_table(delta - d1, om2).items():
+                                    e = convolve(fit, e1, e2)
+                                    expected[e] = expected.get(e, 0) - ways * c1 * c2
+                    nonzero = {e: c for e, c in expected.items() if c}
+                    where = (nu, h, delta, omegas)
+                    got = comp._peeled(delta, omegas, every)
+                    assert {e: c for e, c in got.items() if c} == nonzero, where
+                    for t in every:
+                        one: dict[int, int] = {}
+                        for e, c in expected.items():
+                            one[e[t]] = one.get(e[t], 0) + c
+                        got = comp._peeled(delta, omegas, (t,))
+                        assert {e: c for e, c in got.items() if c} == {e: c for e, c in one.items() if c}, where
+                    checks += 1
+    assert checks == 3 * 2 * (7 + 8 + 9)

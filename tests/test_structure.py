@@ -496,3 +496,27 @@ def test_closed_forms_hold_on_the_tables_at_degree_30(cache):
     for d, r in ((29, 8), (30, 2)):
         k = (d - 1) // (r - 1)
         assert value(P([d]), P([r] + [1] * (d - r)), k) == minimal_cycle_factorization_count(d, r), (d, r)
+
+
+def test_large_genus_count_equals_the_table(cache):
+    # g = 100 is k = 212 simple branch points: the count form, run at that
+    # k, against one entry of the table
+    nu = P([2, 1, 1, 1, 1, 1])
+    spec = RepeatedSpec(CoverSpec(0, 7, ()), nu, g=100)
+    assert spec.point_count() == 212
+    assert connected(spec, cache) == extract_b_connected(0, 7, (), nu, cache).value_at(212)
+
+
+def test_hook_tables_hold_at_the_least_riemann_hurwitz_exponent(cache):
+    # at h = 0 both held-out exponents of a hook table lie below the
+    # Riemann–Hurwitz minimum k(r − 1) ≥ 2d − 2, where table and count both
+    # read 0; k₀, the least admissible k of the table's parity, is nonzero
+    for d in (7, 8, 9):
+        for r in (2, 3):
+            nu = P([r] + [1] * (d - r))
+            table = extract_b_connected(0, d, (), nu, cache)
+            k0 = -(-(2 * d - 2) // (r - 1))
+            k0 += (k0 - table.parity) % 2
+            assert max(_sample_exponents(table.parity, 2)) < k0
+            value = connected(RepeatedSpec(CoverSpec(0, d, ()), nu, k=k0), cache)
+            assert value and table.value_at(k0) == value, (d, r)
