@@ -21,14 +21,19 @@ theorem B sweeps read their columns from it, in bounded memory.
 `central_column` keeps a second memo on the same cache: columns of
 class-sum eigenvalues {λ parts: f_μ(λ)}, each built once per μ from μ's χ
 column with every value checked to be an integer; `central_character` and
-`hurwitz` read every f there.  `chi_column` returns the memo's tuple
-itself, and `central_column` zips it with the λ ⊢ d.  `chi` reads one
-value with one memo lookup for μ's column and one for λ's position, and
+`hurwitz` read every f there.  Each degree d has one row table,
+`_rows(d)`: {λ parts: (λ's position in partitions_of(d), dim λ)}, the one
+place λ is paired with its dimension.  `chi_column` returns the memo's
+tuple itself, and `central_column` zips it with `_rows(d)`.  `chi` and
+`character_ratio` share one reader, `_entry`: it checks size and ceiling,
+then reads (χ_λ(μ), dim λ) with one memo lookup for μ's column and one
+for λ's row, on the slots `Partition.parts` and `Partition.size`.
 `character_ratio` returns the one module-level `_ZERO` for every zero χ
-(a Fraction is immutable, so sharing it is safe), building a Fraction only
-for a nonzero χ.  The entry recursion, which strips μ's parts from one λ,
-is kept in tests/oracles.py as the independent cross-check, beside the
-box-by-box border strips that check the strip table.
+(a Fraction is immutable, so sharing it is safe), building one
+`Fraction(χ, dim λ)` only for a nonzero χ.  The entry recursion, which
+strips μ's parts from one λ, is kept in tests/oracles.py as the
+independent cross-check, beside the box-by-box border strips that check
+the strip table.
 """
 
 from __future__ import annotations
@@ -121,9 +126,10 @@ def _strips(k: int, r: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ..
 
 
 @lru_cache(maxsize=None)
-def _positions(d: int) -> dict[tuple[int, ...], int]:
-    """{λ parts: λ's position in partitions_of(d)}."""
-    return {lam: j for j, lam in enumerate(_partition_tuples(d, d))}
+def _rows(d: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """{λ parts: (λ's position in partitions_of(d), dim λ)}, in
+    partitions_of order: the one place λ is paired with its dimension."""
+    return {lam: (j, _dimension(lam)) for j, lam in enumerate(_partition_tuples(d, d))}
 
 
 def _column(d: int, mu: tuple[int, ...], columns: dict) -> tuple[int, ...]:
@@ -189,9 +195,9 @@ def walk_columns(d: int, cache: CharCache | None = None) -> Iterator[tuple[int, 
     return visit((), d)
 
 
-def chi(lam: Partition, mu: Partition, cache: CharCache | None = None) -> int:
-    """Irreducible character value χ_λ(μ), read from μ's column, with size
-    and ceiling checked before any walk.  Requires |λ| = |μ|."""
+def _entry(lam: Partition, mu: Partition, cache: CharCache | None) -> tuple[int, int]:
+    """(χ_λ(μ), dim λ): size and ceiling checked before any walk, then one
+    memo lookup for μ's column and one for λ's (position, dim λ)."""
     d = lam.size
     if d != mu.size:
         raise SizeMismatchError(f"|λ|={d} but |μ|={mu.size}")
@@ -201,7 +207,15 @@ def chi(lam: Partition, mu: Partition, cache: CharCache | None = None) -> int:
     column = cache._values.get((d, mu.parts))
     if column is None:
         column = _column(d, mu.parts, cache._values)
-    return column[_positions(d)[lam.parts]]
+    position, dim = _rows(d)[lam.parts]
+    return column[position], dim
+
+
+def chi(lam: Partition, mu: Partition, cache: CharCache | None = None) -> int:
+    """Irreducible character value χ_λ(μ), read from μ's column by
+    `_entry`, with size and ceiling checked before any walk.  Requires
+    |λ| = |μ|."""
+    return _entry(lam, mu, cache)[0]
 
 
 def chi_column(mu: Partition, cache: CharCache | None = None) -> tuple[int, ...]:
@@ -213,8 +227,8 @@ def chi_column(mu: Partition, cache: CharCache | None = None) -> tuple[int, ...]
 
 def central_column(mu: tuple[int, ...], cache: CharCache | None = None) -> dict[tuple[int, ...], int]:
     """{λ parts: f_μ(λ)} over the λ ⊢ |μ| with f_μ(λ) ≠ 0, built once per
-    cache from μ's χ column, zipped with partitions_of(|μ|), with every
-    value checked to be an integer."""
+    cache from μ's χ column, zipped with `_rows(|μ|)` for each dim λ, with
+    every value checked to be an integer."""
     d = sum(mu)
     cache = _checked(d, cache)
     hit = cache._central.get(mu)
@@ -222,9 +236,9 @@ def central_column(mu: tuple[int, ...], cache: CharCache | None = None) -> dict[
         chis = _column(d, mu, cache._values)
         scale = factorial(d) // Partition(mu).centralizer_order()  # the class size
         hit = {}
-        for lam, value in zip(_partition_tuples(d, d), chis):
+        for (lam, (_, dim)), value in zip(_rows(d).items(), chis):
             if value:
-                f, rem = divmod(scale * value, _dimension(lam))
+                f, rem = divmod(scale * value, dim)
                 if rem:
                     raise ExactnessError(
                         f"central character not integral for mu={Partition(mu)}, lam={Partition(lam)}")
@@ -261,7 +275,8 @@ def one_cycle_central_character(r: int, lam: Partition, cache: CharCache | None 
 
 
 def character_ratio(lam: Partition, mu: Partition, cache: CharCache | None = None) -> Fraction:
-    """χ_λ(μ)/dim λ as an exact rational (signed), read from μ's column; a
-    zero χ gives the shared `_ZERO`."""
-    value = chi(lam, mu, cache)
-    return Fraction(value, _dimension(lam.parts)) if value else _ZERO
+    """χ_λ(μ)/dim λ as an exact rational (signed): χ and dim λ read by
+    `_entry` in one call, as `chi` reads them; a zero χ gives the shared
+    `_ZERO`, and only a nonzero χ builds a Fraction."""
+    value, dim = _entry(lam, mu, cache)
+    return Fraction(value, dim) if value else _ZERO

@@ -22,53 +22,58 @@ DEFAULT_BF_BUDGET = 4_000_000
 
 
 class Partition:
-    """A weakly decreasing sequence of positive integers."""
+    """A weakly decreasing sequence of positive integers.
 
-    __slots__ = ("_parts", "_size")
+    `parts` and `size` (the sum of the parts, written |θ|) are read-only
+    slots: any write or delete raises AttributeError, so a partition stays
+    immutable and hashable.
+    """
+
+    __slots__ = ("parts", "size")
 
     def __init__(self, parts: Iterable[int] = ()):
         p = tuple(sorted(map(index, parts), reverse=True))
         for v in p:
             if v <= 0:
                 raise ValueError(f"partition parts must be positive, got {v}")
-        self._parts = p
-        self._size = sum(p)
+        object.__setattr__(self, "parts", p)
+        object.__setattr__(self, "size", sum(p))
 
-    @property
-    def parts(self) -> tuple[int, ...]:
-        return self._parts
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Partition is immutable; cannot set {name!r}")
 
-    @property
-    def size(self) -> int:
-        """Sum of the parts, written |θ|."""
-        return self._size
+    def __delattr__(self, name):
+        raise AttributeError(f"Partition is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (Partition, (self.parts,))
 
     @property
     def length(self) -> int:
         """Number of parts, written l(θ)."""
-        return len(self._parts)
+        return len(self.parts)
 
     @property
     def colength(self) -> int:
         """size − length, the minimal transposition count of the class."""
-        return self._size - len(self._parts)
+        return self.size - len(self.parts)
 
     def part(self, i: int) -> int:
         """The i-th part (1-indexed), 0 past the end."""
         if i < 1:
             raise IndexError("parts are 1-indexed")
-        return self._parts[i - 1] if i <= len(self._parts) else 0
+        return self.parts[i - 1] if i <= len(self.parts) else 0
 
     def multiplicity(self, v: int) -> int:
         """Number of parts equal to v."""
-        return self._parts.count(v)
+        return self.parts.count(v)
 
     def conjugate(self) -> "Partition":
         """The transposed diagram."""
-        if not self._parts:
+        if not self.parts:
             return self
-        cols = [0] * self._parts[0]
-        for v in self._parts:
+        cols = [0] * self.parts[0]
+        for v in self.parts:
             for j in range(v):
                 cols[j] += 1
         return Partition(cols)
@@ -76,47 +81,47 @@ class Partition:
     def centralizer_order(self) -> int:
         """∏ m_i! · i^{m_i}; the group order divided by the class size."""
         out = 1
-        for v in set(self._parts):
-            m = self._parts.count(v)
+        for v in set(self.parts):
+            m = self.parts.count(v)
             out *= factorial(m) * v**m
         return out
 
     def contains_box(self, row: int, col: int) -> bool:
         """Whether the box at (row, col), 1-indexed, lies inside the diagram."""
-        return 1 <= row <= len(self._parts) and 1 <= col <= self._parts[row - 1]
+        return 1 <= row <= len(self.parts) and 1 <= col <= self.parts[row - 1]
 
     def boxes(self) -> Iterator[tuple[int, int]]:
         """All (row, col) boxes of the diagram, row-major."""
-        for i, v in enumerate(self._parts, start=1):
+        for i, v in enumerate(self.parts, start=1):
             for j in range(1, v + 1):
                 yield (i, j)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._parts)
+        return iter(self.parts)
 
     def __len__(self) -> int:
-        return len(self._parts)
+        return len(self.parts)
 
     def __getitem__(self, idx):
-        return self._parts[idx]
+        return self.parts[idx]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self._parts == other._parts
+        return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self) -> int:
-        return hash(self._parts)
+        return hash(self.parts)
 
     def __lt__(self, other: "Partition") -> bool:
-        return self._parts < other._parts
+        return self.parts < other.parts
 
     def __le__(self, other: "Partition") -> bool:
-        return self._parts <= other._parts
+        return self.parts <= other.parts
 
     def __str__(self) -> str:
-        return ",".join(str(v) for v in self._parts)
+        return ",".join(str(v) for v in self.parts)
 
     def __repr__(self) -> str:
-        return f"Partition({self._parts!r})"
+        return f"Partition({self.parts!r})"
 
 
 def parse(text: str) -> Partition:

@@ -76,8 +76,9 @@ def _scan(lams: list[Partition], mu: Partition, bound, cache: CharCache | None
     pairs with ratio ≥ bound, in lams order, and (max ratio, argmax), the
     first maximum in lams order.
 
-    character_ratio makes one call per pair and builds a reduced Fraction
-    a/b only for a nonzero pair; a zero χ reads the shared 0/1.  Its
+    character_ratio makes one call per pair, which reads χ_λ(μ) and dim λ
+    with one memo lookup each, and builds a reduced Fraction a/b only for a
+    nonzero pair; a zero χ reads the shared 0/1.  Its
     numerator and denominator, read once with as_integer_ratio, are
     compared with the bound p/q as |a|·q ≥ p·b and with the running maximum
     the same way, in integers, so no Fraction arithmetic runs; a further

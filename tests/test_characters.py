@@ -8,6 +8,7 @@ from oracles import border_strips, chi_entries
 from snhurwitz.characters import (
     CharCache,
     _column,
+    _rows,
     _strips,
     central_character,
     central_column,
@@ -258,6 +259,14 @@ def test_strips_are_the_border_strips_of_each_diagram():
                 assert len(set(even + odd)) == len(even) + len(odd), (lam, r)
                 found = {nus[j]: 1 for j in even} | {nus[j]: -1 for j in odd}
                 assert found == border_strips(lam, r), (lam, r)
+
+
+def test_rows_pair_each_position_with_its_dimension():
+    # _rows(d) lists every λ ⊢ d once, in partitions_of order, with its
+    # index there and dim λ
+    for d in range(17):
+        assert list(_rows(d).items()) == [(lam.parts, (j, dimension(lam)))
+                                          for j, lam in enumerate(partitions_of(d))], d
 
 
 def test_character_ratio_checks_before_building_columns():

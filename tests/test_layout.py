@@ -86,6 +86,22 @@ def test_strips_are_read_only_by_column():
     assert "_grow" not in {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
 
 
+def test_dimensions_are_read_only_from_the_rows_table():
+    # `_rows` is the one place λ is paired with dim λ: no other function of
+    # characters.py names `_dimension`, and no `_positions` is left beside it
+    tree = ast.parse((PACKAGE / "characters.py").read_text())
+    readers = set()
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            readers.update(func.name for node in ast.walk(func)
+                           if isinstance(node, ast.Name) and node.id == "_dimension")
+    assert readers == {"_rows"}
+    names = {node.name if isinstance(node, ast.FunctionDef) else node.id
+             for path in PACKAGE.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.Name))}
+    assert "_positions" not in names
+
+
 def test_the_table_form_peels_in_one_loop():
     # `mu_splits` is read by one loop per form: the count form's
     # `_tuples_transitive` and the table form's `_peeled`; no convolution

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import factorial, prod
 
@@ -42,6 +44,26 @@ def test_partition_rejects_non_integral_parts():
             Partition(bad)
     with pytest.raises(ValueError):
         Partition([2, 0])
+
+
+def test_partition_is_immutable_and_copyable():
+    # parts and size are slots that no write or delete can change, so a
+    # partition hashes as its parts for life; copies and pickles rebuild it
+    p = Partition([3, 1, 1])
+    with pytest.raises(AttributeError):
+        p.parts = (4, 1)
+    with pytest.raises(AttributeError):
+        p.size = 6
+    with pytest.raises(AttributeError):
+        del p.parts
+    with pytest.raises(AttributeError):
+        p.other = 1
+    assert (p.parts, p.size) == ((3, 1, 1), 5)
+    assert not hasattr(p, "__dict__")
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(twin) is Partition and twin == p and hash(twin) == hash(p)
+        assert (twin.parts, twin.size) == (p.parts, p.size)
+    assert copy.copy(Partition()) == Partition() and Partition().size == 0
 
 
 def test_centralizer_order():
