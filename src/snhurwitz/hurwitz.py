@@ -22,8 +22,12 @@ orbit partition p coarser than r's cycles) collapses to its conjugation
 orbit, the sorted cycle types of r on the blocks of p, because every class
 is closed under conjugation.  A distribution over orbits advances one
 branch point at a time along transitions counted once per (orbit, class)
-from one representative; the transitive count is the mass on the identity
-over the full partition.
+from one representative, over the class's members generated from its
+cycle type (`_members`).  The count does not depend on the order of the
+points, so the two largest classes are never enumerated: at h = 0 the
+largest is the start, and the next is read off the end as the mass on
+its one-block orbit.  Only the tracked h = 1 start walks S(d), so any
+degree the budget admits is counted, h = 1 to d = 8.
 """
 
 from __future__ import annotations
@@ -39,8 +43,6 @@ from operator import add, mul
 from .characters import CharCache, central_character, central_column
 from .errors import BudgetError, ExactnessError, GenusError, SizeMismatchError
 from .partitions import DEFAULT_BF_BUDGET, Partition, dimension, partitions_of, sub_multisets
-
-_BF_MAX_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -153,13 +155,36 @@ def disconnected(spec: CoverSpec, cache: CharCache | None = None) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _classes(d: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """The conjugacy classes of S(d) by cycle type; σ is the tuple x ↦ σ(x)."""
-    out: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    full = (0,) * d
-    for s in permutations(range(d)):
-        out.setdefault(_orbit_key(s, full)[0], []).append(s)
-    return out
+def _members(theta: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The permutations of cycle type θ, each once; σ is the tuple x ↦ σ(x).
+    The least free sheet opens a cycle of each distinct remaining length in
+    turn, closed through every arrangement of that many other free sheets."""
+    perm = [0] * sum(theta)
+    out = []
+
+    def place(free: tuple[int, ...], lengths: tuple[int, ...]):
+        if not free:
+            out.append(tuple(perm))
+            return
+        x, rest = free[0], free[1:]
+        for i, n in enumerate(lengths):
+            if i and lengths[i - 1] == n:
+                continue
+            for others in permutations(rest, n - 1):
+                y = x
+                for z in others:
+                    perm[y] = y = z
+                perm[y] = x
+                place(tuple(z for z in rest if z not in others), lengths[:i] + lengths[i + 1:])
+
+    place(tuple(range(len(perm))), theta)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _class_size(theta: tuple[int, ...]) -> int:
+    """|class θ| = d!/z_θ."""
+    return factorial(sum(theta)) // Partition(theta).centralizer_order()
 
 
 def _join(blocks, s) -> list:
@@ -177,16 +202,25 @@ def _orbit_key(r, blocks) -> tuple[tuple[int, ...], ...]:
     """The conjugation orbit of the state (r, p), p coarser than r's cycles:
     the sorted cycle types of r on the blocks of p."""
     types: dict = {}
-    seen = 0
-    for x in range(len(r)):
-        if not seen >> x & 1:
-            n, y = 0, x
-            while not seen >> y & 1:
-                seen |= 1 << y
+    seen = [False] * len(r)
+    for x, b in enumerate(blocks):
+        if not seen[x]:
+            seen[x] = True
+            n, y = 1, r[x]
+            while y != x:
+                seen[y] = True
                 y = r[y]
                 n += 1
-            types.setdefault(blocks[x], []).append(n)
-    return tuple(sorted(tuple(sorted(t, reverse=True)) for t in types.values()))
+            if b in types:
+                types[b].append(n)
+            else:
+                types[b] = [n]
+    out = []
+    for t in types.values():
+        t.sort(reverse=True)
+        out.append(tuple(t))
+    out.sort()
+    return tuple(out)
 
 
 def _representative(key: tuple[tuple[int, ...], ...]) -> tuple[list[int], list[int]]:
@@ -208,91 +242,154 @@ def _transitions(key: tuple, theta: tuple[int, ...]) -> tuple[tuple[tuple, int],
     from one representative (r, p) of the orbit; by conjugation invariance
     every state of the orbit has the same counts."""
     r, blocks = _representative(key)
+    joins = len(key) > 1  # one block stays one block
     out: dict = {}
-    for s in _classes(len(r))[theta]:
-        new = _orbit_key([r[y] for y in s], _join(blocks, s))
+    for s in _members(theta):
+        new = _orbit_key([r[y] for y in s], _join(blocks, s) if joins else blocks)
         out[new] = out.get(new, 0) + 1
     return tuple(out.items())
 
 
 @lru_cache(maxsize=None)
-def _start(d: int, h: int, track_orbits: bool) -> tuple[tuple[tuple, int], ...]:
-    """(orbit, count) before the first point: the identity for h = 0, else
-    every ([a,b], orbits of ⟨a,b⟩), a over class representatives weighted by
-    class size and b over S(d).  Untracked, the partition is the full one."""
-    blocks = list(range(d)) if track_orbits else [0] * d
-    if h == 0:
-        return ((_orbit_key(range(d), blocks), 1),)
+def _start(d: int, track_orbits: bool) -> tuple[tuple[tuple, int], ...]:
+    """(orbit, count) of the handle's commutator [a,b] = a∘b∘a⁻¹∘b⁻¹ over
+    all pairs (a, b), before the first point.  Tracked, the state carries
+    the orbits of ⟨a,b⟩: a runs over class representatives weighted by
+    class size, and b over S(d).  Untracked, only the type of
+    [a,b] = a∘(b∘a∘b⁻¹)⁻¹ counts, and b∘a∘b⁻¹ meets each member m of a's
+    class z_a times: the type of a⁻¹∘m, conjugate to the inverse of
+    a∘m⁻¹, is counted |class|·z_a = d! times per member, d! steps in all."""
+    fact = factorial(d)
+    one_block = [0] * d
     out: dict = {}
-    for cls in _classes(d).values():
-        a = cls[0]
+    for theta in partitions_of(d):
+        a = _representative((theta.parts,))[0]
         a_inv = [0] * d
         for x, y in enumerate(a):
             a_inv[y] = x
-        a_blocks = _join(blocks, a)
+        if not track_orbits:
+            for m in _members(theta.parts):
+                key = _orbit_key([a_inv[y] for y in m], one_block)
+                out[key] = out.get(key, 0) + fact
+            continue
+        a_blocks = _join(range(d), a)
+        size = fact // theta.centralizer_order()
         c = [0] * d
         for b in permutations(range(d)):
             for x in range(d):
                 c[b[x]] = a[b[a_inv[x]]]  # c = a∘b∘a⁻¹∘b⁻¹
             key = _orbit_key(c, _join(a_blocks, b))
-            out[key] = out.get(key, 0) + len(cls)
+            out[key] = out.get(key, 0) + size
     return tuple(out.items())
 
 
 @lru_cache(maxsize=None)
-def _orbit_count(d: int, track_orbits: bool) -> int:
-    """Orbits of states: multisets of (block, cycle type on it) filling d
-    sheets; untracked, the cycle types of S(d)."""
-    ways = [1] + [0] * d
-    for n in range(1, d + 1) if track_orbits else (d,):
-        for _ in partitions_of(n):
-            for total in range(n, d + 1):
-                ways[total] += ways[total - n]
-    return ways[d]
+def _coarsenings(sizes: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """The multisets of block sizes that blocks of the given sizes can be
+    merged into, each weakly decreasing."""
+    if not sizes:
+        return frozenset({()})
+    out = set()
+    for taken, left in sub_multisets(sizes[1:]):
+        merged = sizes[0] + sum(taken)
+        out.update(tuple(sorted(c + (merged,), reverse=True)) for c in _coarsenings(left))
+    return frozenset(out)
 
 
-def _count_tuples(spec: CoverSpec, track_orbits: bool) -> Fraction:
-    """(1/d!)·#tuples with product the identity, over a distribution on the
-    conjugation orbits of states (partial product, orbit partition): a
-    θ-point moves the mass of each orbit along its transitions by θ."""
-    d = spec.d
-    if d > _BF_MAX_DEGREE:
-        raise BudgetError(f"brute force supports d ≤ {_BF_MAX_DEGREE}, got {d}")
-    if spec.h > 1:
-        raise BudgetError(f"brute force supports h ≤ 1, got {spec.h}")
-    # each class's transitions are counted once per orbit; each point then
-    # moves every orbit's mass to at most min(|class|, orbits) targets
-    orbits = _orbit_count(d, track_orbits)
-    ops = 0
-    for theta, n in Counter(spec.profiles).items():
-        size = factorial(d) // theta.centralizer_order()
-        ops += orbits * (size + n * min(size, orbits))
-    if spec.h:
-        ops += _orbit_count(d, False) * factorial(d)
+@lru_cache(maxsize=None)
+def _orbit_count(sizes: tuple[int, ...]) -> int:
+    """Orbits of states whose blocks merge blocks of the given sizes:
+    multisets of (block, cycle type on it) whose block sizes are one of
+    their coarsenings.  From singletons, every orbit of states; from one
+    block of d sheets, the cycle types of S(d)."""
+    total = 0
+    for coarse in _coarsenings(sizes):
+        ways = 1
+        for size, m in Counter(coarse).items():
+            ways *= comb(len(partitions_of(size)) + m - 1, m)
+        total += ways
+    return total
+
+
+def _advance(dist: dict, theta: tuple[int, ...]) -> dict:
+    """The distribution after one θ-point: each orbit's mass moves along its
+    transitions by θ."""
+    new: dict = {}
+    for key, n in dist.items():
+        for target, m in _transitions(key, theta):
+            new[target] = new.get(target, 0) + n * m
+    return new
+
+
+def _count_tuples(spec: CoverSpec, track_orbits: bool, nu: Partition | None = None,
+                  k: int = 0) -> list[Fraction]:
+    """(1/d!)·#tuples with product the identity, for the spec's profiles
+    followed by j ν-points, at each j = 0..k, in one pass over a
+    distribution on the conjugation orbits of states (partial product,
+    orbit partition).
+
+    A braid move swaps two neighbouring points and keeps both the product
+    and the group the tuple generates, so the fixed profiles are taken in
+    any order.  The largest class is never moved through: at h = 0 it is
+    the start, one orbit (its cycles as blocks) of weight |class|.  Nor is
+    the next largest (the largest at h = 1): read off the end, since r∘σ
+    is the identity for one σ of class θ if r has type θ and for none
+    otherwise, and σ = r⁻¹ joins no blocks, so the count is the mass on the
+    one-block key (θ,).  Every other point moves the distribution along its
+    class's transitions."""
+    d, h = spec.d, spec.h
+    if h > 1:
+        raise BudgetError(f"brute force supports h ≤ 1, got {h}")
+    # classes by size, ties broken by cycle type
+    order = sorted((p.parts for p in spec.profiles), key=lambda t: (_class_size(t), t), reverse=True)
+    identity = (1,) * d
+    first = order.pop(0) if h == 0 and order else identity
+    last = order.pop(0) if order else identity
+    points = order + [nu.parts] * k if k else order
+    # each enumerated class's transitions are counted once per orbit; each
+    # point then moves every orbit's mass to at most min(|class|, orbits)
+    # targets.  Blocks only merge, so the orbits are those over the start's
+    # blocks: the first class's cycles, or the h = 1 start's singletons.
+    # The h = 1 start is charged a walk of S(d) per class, as tracked:
+    # untracked it walks S(d) once, but holds every member of S(d)
+    if not track_orbits:
+        orbits = _orbit_count((d,))
+    else:
+        orbits = _orbit_count(identity if h else first)
+    ops = _orbit_count((d,)) * factorial(d) if h else 0
+    for theta in set(points):
+        size = _class_size(theta)
+        ops += orbits * (size + points.count(theta) * min(size, orbits))
     if ops > DEFAULT_BF_BUDGET:
         raise BudgetError(f"estimated {ops} transitions exceed the budget {DEFAULT_BF_BUDGET}")
-    dist = dict(_start(d, spec.h, track_orbits))
-    for theta in spec.profiles:
-        new: dict = {}
-        for key, n in dist.items():
-            for target, m in _transitions(key, theta.parts):
-                new[target] = new.get(target, 0) + n * m
-        dist = new
-    return Fraction(dist.get(((1,) * d,), 0), factorial(d))
+    if h:
+        dist = dict(_start(d, track_orbits))
+    else:
+        key = tuple(sorted((n,) for n in first)) if track_orbits else (first,)
+        dist = {key: _class_size(first)}
+    for theta in order:
+        dist = _advance(dist, theta)
+    end, fact = (last,), factorial(d)
+    counts = [Fraction(dist.get(end, 0), fact)]
+    for _ in range(k):
+        dist = _advance(dist, nu.parts)
+        counts.append(Fraction(dist.get(end, 0), fact))
+    return counts
 
 
 def brute_force_disconnected(spec: CoverSpec) -> Fraction:
     """(1/d!) · #{(α_1,β_1,…,α_h,β_h,σ_1,…,σ_n) with ∏[α,β]·∏σ = identity},
     counted by advancing the distribution of partial products' cycle types
-    one σ-point at a time; d ≤ 8 and h ≤ 1."""
-    return _count_tuples(spec, track_orbits=False)
+    one σ-point at a time; any d within the budget, h ≤ 1, and h = 1 to
+    d = 8."""
+    return _count_tuples(spec, track_orbits=False)[0]
 
 
 def brute_force_connected(spec: CoverSpec) -> Fraction:
     """As brute_force_disconnected, restricted to tuples whose entries
     generate a transitive subgroup: the joined orbit partition is tracked
     through the count, and the state is the conjugation orbit of both."""
-    return _count_tuples(spec, track_orbits=True)
+    return _count_tuples(spec, track_orbits=True)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,14 @@ from snhurwitz.hurwitz import (
     CoverSpec,
     NuSplitAlgebra,
     RepeatedSpec,
-    _classes,
+    _count_tuples,
     _join,
+    _members,
     _orbit_count,
     _orbit_key,
     _placements,
     _representative,
+    _start,
     brute_force_connected,
     brute_force_disconnected,
     connected,
@@ -27,6 +29,7 @@ from snhurwitz.hurwitz import (
     mu_splits,
 )
 from snhurwitz.partitions import Partition, parse, partitions_of
+from snhurwitz.structure import extract_b_connected
 
 from oracles import convolve
 
@@ -140,19 +143,37 @@ def _masks_of(blocks):
     return [sum(1 << y for y, b in enumerate(blocks) if b == a) for a in blocks]
 
 
+def _merged_sizes(parts):
+    """Every multiset of block sizes that blocks of the given sizes merge
+    into, over all set partitions of the blocks."""
+    out = set()
+
+    def merge(i, groups):
+        if i == len(parts):
+            out.add(tuple(sorted(groups, reverse=True)))
+            return
+        for j in range(len(groups)):
+            groups[j] += parts[i]
+            merge(i + 1, groups)
+            groups[j] -= parts[i]
+        merge(i + 1, groups + [parts[i]])
+
+    merge(0, [])
+    return out
+
+
 def test_group_tables_match_tuple_composition():
     for d in range(1, 6):
         perms = list(permutations(range(d)))
-        classes = _classes(d)
         seen = []
         for mu in partitions_of(d):
-            members = classes[mu.parts]
+            members = _members(mu.parts)
             assert len(members) == factorial(d) // mu.centralizer_order()
             for p in members:
                 lengths = (bin(m).count("1") for m in set(_cycle_masks(p)))
                 assert tuple(sorted(lengths, reverse=True)) == mu.parts
             seen += members
-        assert sorted(seen) == perms and len(classes) == len(partitions_of(d))
+        assert sorted(seen) == perms
         # every set partition is the cycle partition of some permutation
         partitions = {tuple(_cycle_masks(p)): p for p in perms}
         for pa in partitions:
@@ -175,10 +196,19 @@ def test_group_tables_match_tuple_composition():
                         blocks2[t[x]] = blocks[x]
                     assert _orbit_key(r2, blocks2) == key
                 keys.add(key)
-        assert len(keys) == _orbit_count(d, True)
         for key in keys:
             assert _orbit_key(*_representative(key)) == key
-        assert _orbit_count(d, False) == len(partitions_of(d))
+        # the orbits over a start's blocks are the keys whose block sizes
+        # merge its cycles: every key from singletons, cycle types from one block
+        assert _orbit_count((1,) * d) == len(keys)
+        assert _orbit_count((d,)) == len(partitions_of(d))
+        for mu in partitions_of(d):
+            merged = _merged_sizes(mu.parts)
+            over = [key for key in keys if tuple(sorted(map(sum, key), reverse=True)) in merged]
+            assert _orbit_count(mu.parts) == len(over), mu
+            # the h = 0 start: a member's orbit with its cycles as blocks
+            p = _members(mu.parts)[-1]
+            assert _orbit_key(p, _cycle_masks(p)) == tuple(sorted((n,) for n in mu.parts))
 
 
 def _or_of(masks, sel):
@@ -217,14 +247,66 @@ def test_brute_force_examples():
 
 def test_brute_force_budget_guard(monkeypatch):
     with pytest.raises(BudgetError):
-        brute_force_disconnected(CoverSpec(0, 9, ()))
+        brute_force_disconnected(CoverSpec(0, 10, (P([10]),) * 3))
     with pytest.raises(BudgetError):
         brute_force_disconnected(CoverSpec(2, 4, ()))
-    # an estimate of 4,193,907 transitions, just above the default budget,
-    # is refused before any transition is counted
-    monkeypatch.setattr(hurwitz, "_transitions", lambda *args: pytest.fail("a transition was counted"))
-    with pytest.raises(BudgetError, match="estimated 4193907 transitions"):
-        brute_force_connected(CoverSpec(1, 8, (P([8]), P([7, 1]), P([6, 2]))))
+    # the h = 1 start is charged p(d)·d!: 30 · 9! at d = 9
+    for oracle in (brute_force_connected, brute_force_disconnected):
+        with pytest.raises(BudgetError, match="estimated 10886400 transitions"):
+            oracle(CoverSpec(1, 9, ()))
+    # an estimate of 4,008,004 transitions, just above the default budget,
+    # is refused before any member, start or transition is built: the two
+    # 12-cycles are never enumerated, and the 51,975 members of (2⁴,1⁴) are
+    # charged once per orbit of the one-block start, 77 = p(12)
+    for name in ("_members", "_start", "_transitions"):
+        monkeypatch.setattr(hurwitz, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    with pytest.raises(BudgetError, match="estimated 4008004 transitions"):
+        brute_force_connected(CoverSpec(0, 12, (P([12]), P([12]), P([2, 2, 2, 2, 1, 1, 1, 1]))))
+
+
+def test_untracked_start_merges_the_tracked_blocks():
+    # untracked, [a,b] = a∘(b∘a∘b⁻¹)⁻¹ walks each class once; its cycle
+    # types must be the tracked start's with each orbit's blocks merged
+    for d in range(1, 7):
+        merged: dict = {}
+        for key, n in _start(d, True):
+            cycle_type = (tuple(sorted(sum(key, ()), reverse=True)),)
+            merged[cycle_type] = merged.get(cycle_type, 0) + n
+        assert dict(_start(d, False)) == merged
+        assert sum(merged.values()) == factorial(d) ** 2
+
+
+def test_brute_force_at_the_papers_degrees(cache):
+    # (d, μ₁, μ₂, ν, k) at d = 9..16: the two fixed classes are the start and
+    # the end, so only the ν-points' members are enumerated; at d = 11 the
+    # start (10,1) has two blocks
+    for d, mu1, mu2, nu, k in [(9, "9", "4,3,2", "2,1^7", 8), (10, "5,3,2", "10", "3,1^7", 4),
+                               (11, "10,1", "6,5", "2,1^9", 8), (12, "12", "12", "2,1^10", 12),
+                               (13, "13", "7,4,2", "2,1^11", 10), (14, "7,4,3", "14", "2,1^12", 20),
+                               (15, "15", "8,7", "2,1^13", 9), (16, "16", "16", "2,1^14", 16)]:
+        spec = RepeatedSpec(CoverSpec(0, d, (parse(mu1), parse(mu2))), parse(nu), k=k)
+        cover = spec.cover_spec()
+        value = brute_force_connected(cover)
+        assert value and value == connected(spec, cache), d
+        assert brute_force_disconnected(cover) == disconnected(cover, cache), d
+
+
+def test_every_k_pass_matches_the_per_k_counts(cache):
+    # one pass reads the count after every ν-point; ν = (2,1⁸) at d = 10
+    d, nu = 10, P([2] + [1] * 8)
+    base = CoverSpec(0, d, ())
+    table = extract_b_connected(0, d, (), nu, cache)
+    counts = _count_tuples(base, True, nu, 60)
+    assert len(counts) == 61 and not any(counts[1::2])
+    for k in range(2, 61, 2):
+        spec = RepeatedSpec(base, nu, k=k)
+        assert counts[k] == brute_force_connected(spec.cover_spec()) == table.value_at(k), k
+    # with fixed profiles, at h = 1 and untracked too
+    for h, mus, nu, k in [(0, ("4,3,2,1",), P([3] + [1] * 7), 6), (1, ("2,2,1,1",), P([2, 1, 1, 1, 1]), 5)]:
+        base = CoverSpec(h, nu.size, tuple(parse(m) for m in mus))
+        for track, oracle in ((True, brute_force_connected), (False, brute_force_disconnected)):
+            counts = _count_tuples(base, track, nu, k)
+            assert counts == [oracle(RepeatedSpec(base, nu, k=j).cover_spec()) for j in range(k + 1)]
 
 
 def test_import_loads_no_numpy():

@@ -117,3 +117,24 @@ def test_the_table_form_peels_in_one_loop():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     assert "convolve" not in defined
+
+
+def test_only_the_tracked_start_walks_s_d():
+    # the oracle enumerates classes from their cycle types (`_members`); the
+    # tracked h = 1 start is the one place that iterates
+    # permutations(range(d)), and neither `_classes` nor `_BF_MAX_DEGREE` is
+    # left beside it
+    def walks(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "permutations" and node.args
+                and ast.unparse(node.args[0]).startswith("range("))
+
+    tree = ast.parse((PACKAGE / "hurwitz.py").read_text())
+    calls = [node for node in ast.walk(tree) if walks(node)]
+    assert [ast.unparse(node) for node in calls] == ["permutations(range(d))"]
+    walkers = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               and any(walks(node) for node in ast.walk(func))}
+    assert walkers == {"_start"}
+    names = {node.name if isinstance(node, ast.FunctionDef) else node.id
+             for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.Name))}
+    assert not names & {"_classes", "_BF_MAX_DEGREE"}

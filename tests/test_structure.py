@@ -11,6 +11,7 @@ from snhurwitz.hurwitz import (
     ConnectedComputer,
     CoverSpec,
     RepeatedSpec,
+    _count_tuples,
     brute_force_connected,
     connected,
     disconnected,
@@ -18,10 +19,12 @@ from snhurwitz.hurwitz import (
 from snhurwitz.partitions import Partition, dimension, partitions_of
 from snhurwitz.structure import (
     BTable,
+    _ladder,
     _moduli,
     _prefactor,
     _resolve_parity,
     _sample_exponents,
+    _subleading_values,
     asymptotic_ratio,
     extract_b_connected,
     extract_b_disconnected,
@@ -352,6 +355,28 @@ def test_t5_t1_t6_tables_from_brute_force_counts_d7(cache):
             assert entries[2 * (d - 2) * factorial(d - 4)] == 196
 
 
+def test_t1_table_from_brute_force_counts_d10(cache):
+    # the T1 table at d = 10 (r = 2, h = 0, s = 0) from one pass of monodromy
+    # counts over every k: |support| + 2 exponents, the last two held out of
+    # the moment solve; T1's five clauses hold on it
+    d, nu = 10, P([2] + [1] * 8)
+    prefac = _prefactor(0, d, ())
+    support = candidate_moduli(d, nu, cache)
+    ks = _sample_exponents(_resolve_parity(nu, (), None)[0], len(support) + 2)
+    counts = _count_tuples(CoverSpec(0, d, ()), True, nu, ks[-1])
+    values = [counts[k] / prefac for k in ks]
+    solved = _solve_moment_system(support, ks[0], values[:-2])
+    for k, value in zip(ks[-2:], values[-2:]):
+        assert sum(b * m**k for m, b in solved.items()) == value, k
+    entries = {m: b for m, b in solved.items() if b}
+    assert entries == extract_b_connected(0, d, (), nu, cache).entries
+    top, pair, below = _moduli(d, nu)
+    val_d, val_d1 = _subleading_values(0, d, ())
+    table = BTable("connected", 0, d, (), nu, 0, entries)
+    clauses = _ladder(table, [(top, 1), (pair, -val_d), (below[1], val_d1)])
+    assert len(clauses) == 5 and all(c["pass"] for c in clauses), clauses
+
+
 def test_t6(cache):
     for h in (0, 1):
         rep = verify_theorem("T6", h=h, d=7, cache=cache)
@@ -424,8 +449,8 @@ def test_asymptotic_ratio_approaches_one(cache):
 
 
 def test_genus0_one_profile_counts_match_hurwitz_formula(cache):
-    # Hurwitz's formula: no character and no peeling, so past brute force's
-    # d ≤ 8 it is the one check of the connected tables from outside
+    # Hurwitz's formula: no character and no peeling, so beside the
+    # brute-force counts it checks the connected tables from outside
     assert [genus0_one_profile_count(P(parts)) for parts in ((3, 2), (4, 2, 1), (5, 3, 2))] == [
         216, 860160, 9355500000]
     for d in range(2, 10):
