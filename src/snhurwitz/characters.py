@@ -51,7 +51,9 @@ class CharCache:
     """Two column memos: χ columns {(d, μ-suffix): (χ_λ(μ) for λ in
     partitions_of(|μ|))}, zeros kept, in `_values`, and central columns
     {μ parts: {λ parts: f_μ(λ)}}, with the zero values dropped, in
-    `_central`.
+    `_central`.  A third memo, `_folds`, is where `hurwitz.connected` keeps
+    each family's `hurwitz.ConnectedComputer.fold`: one small tuple of
+    (eigenvalue, coefficient) pairs per (h, μ's, ν).
 
     The χ memo keeps every column `chi`, `chi_column`, `character_ratio`
     and `central_column` build.  The columns `walk_columns` adds are
@@ -62,7 +64,7 @@ class CharCache:
     always equals recomputation.  `stats()` counts the χ values the χ memo
     answers without a walk: p(d) for each whole column (|μ| = d, not a
     proper suffix), so filling every column of degree m counts p(m)² at m.
-    The degree-0 column and the central columns are not counted.
+    The degree-0 column, the central columns and the folds are not counted.
     """
 
     def __init__(self, path=None, max_degree: int = DEFAULT_ENUMERATION_CEILING):
@@ -71,6 +73,7 @@ class CharCache:
         self.max_degree = max_degree
         self._values: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
         self._central: dict[tuple[int, ...], dict[int, int]] = {}
+        self._folds: dict[tuple, tuple[tuple[int, int], ...]] = {}
 
     def stats(self) -> dict:
         by_degree: dict[int, int] = {}

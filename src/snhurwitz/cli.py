@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 
 from . import characters, hurwitz, structure, verify, young_trees
 from .characters import CharCache
@@ -299,11 +300,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _exact_digits():
+    """Lift the interpreter's cap on decimal digits in int ↔ str conversion
+    (4,300 by default) while the block runs, so exact values print in full
+    however long; the cap is restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without the cap
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args, CharCache())
+        with _exact_digits():
+            return args.fn(args, CharCache())
     except (SnHurwitzError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,10 +8,12 @@ forms: on counts at one repeat count, and on tables of eigenfunctions that
 carry every repeat count at once.  The table form peels in one loop
 (`_peeled`), which convolves a whole column of first pieces with each rest
 entry at once: below degree d it fills `tc_table`, and at degree d (`peel`)
-it reads only ν's eigenvalue, {t: coefficient} for `structure` to fold.
-The count form asks for no first piece that Riemann–Hurwitz leaves empty:
-a transitive δ₁-sheet piece of a genus-h target has an even total colength
-of at least δ₁(2 − 2h) − 2.
+it reads only ν's eigenvalue.  `ConnectedComputer.fold` adds those pairs
+to the character sum's, {t: coefficient} over ν's eigenvalues, which
+`connected` sums as Σ c·t^k at any k and `structure` groups into b(m).  The count form
+is left as the tables' held-out check, and asks for no first piece that
+Riemann–Hurwitz leaves empty: a transitive δ₁-sheet piece of a genus-h
+target has an even total colength of at least δ₁(2 − 2h) − 2.
 Both forms carry only the hand-offs a ν-point can make: it fixes m₁(ν)
 sheets, so a δ-sheet piece receives a type a only if δ − m₁(ν) ≤ |a| ≤ δ
 (`NuSplitAlgebra.possible`), and a state with any other type reads 0.
@@ -40,7 +42,7 @@ from itertools import permutations, product
 from math import comb, factorial
 from operator import add, mul
 
-from .characters import CharCache, central_character, central_column
+from .characters import CharCache, _checked, central_character, central_column
 from .errors import BudgetError, ExactnessError, GenusError, SizeMismatchError
 from .partitions import DEFAULT_BF_BUDGET, Partition, dimension, partitions_of, sub_multisets
 
@@ -138,13 +140,13 @@ def weights(h: int, delta: int) -> tuple[tuple[Partition, int], ...]:
 
 def disconnected(spec: CoverSpec, cache: CharCache | None = None) -> Fraction:
     """Σ_λ (dim λ/d!)^{2−2h} ∏_i f_{θ^(i)}(λ), the disconnected cover count;
-    each distinct profile is evaluated once per λ and raised to its
-    multiplicity."""
-    grouped = Counter(spec.profiles).items()
+    each distinct profile's central column is read once per call, and its
+    value at λ raised to the profile's multiplicity."""
+    columns = [(central_column(theta.parts, cache), n) for theta, n in Counter(spec.profiles).items()]
     total = 0
     for lam, term in weights(spec.h, spec.d):
-        for theta, n in grouped:
-            term *= central_character(theta, lam, cache) ** n
+        for column, n in columns:
+            term *= column.get(lam.parts, 0) ** n
         total += term
     return Fraction(total, factorial(spec.d) ** 2)
 
@@ -485,25 +487,28 @@ class ConnectedComputer:
     encoded as counts over the sub-multisets of ν's non-unit parts (unit
     parts pad every component to its degree).
 
-    The count form (`value`) runs the recursion at one repeat count.  Its
-    memos persist across repeat counts, so sampling many k against one
-    family is cheap.  It skips the first pieces that Riemann–Hurwitz
-    empties: a transitive δ₁-sheet piece with fixed profiles ω₁ needs its
-    points to bring a colength of at least δ₁(2 − 2h) − 2 − Σ l*(ω₁), of
-    that floor's parity (`_point_splits`), and any other piece counts 0.
-    Only first pieces are skipped, never the state asked for, so `value`
-    computes even a count that the formula makes 0.
+    The count form (`value`) runs the recursion at one repeat count, its
+    states growing with k; it is `structure._extract`'s held-out check on
+    each connected table, and `connected` does not call it.  Its memos
+    persist across repeat counts.  It skips the first pieces that
+    Riemann–Hurwitz empties: a transitive δ₁-sheet piece with fixed
+    profiles ω₁ needs its points to bring a colength of at least
+    δ₁(2 − 2h) − 2 − Σ l*(ω₁), of that floor's parity (`_point_splits`),
+    and any other piece counts 0.  Only first pieces are skipped, never the
+    state asked for, so `value` computes even a count that the formula
+    makes 0.
 
-    The table form (`t_table`, `tc_table`) carries the whole k-dependence
-    symbolically.  A piece of degree δ contributes, per ν-point, a factor
-    depending only on the hand-off type the point gives that piece; the
-    vector of those factors over all types is the piece's eigenfunction
-    (`eig`), and a table maps eigenfunctions to exact coefficients.  One
-    loop (`_peeled`) convolves sheet 1's component with the rest over the
-    hand-off splits, at the types asked for: all of them in `tc_table`, and
-    at degree d only the full type, ν's own eigenvalue, in `peel`.  So
-    `t_table` and `tc_table` build whole eigenfunctions only below the top
-    (they still answer at degree d, for the tests).
+    The table form (`t_table`, `tc_table`, `peel`) carries the whole
+    k-dependence symbolically; `fold` reads it for every connected count
+    and table.  A piece of degree δ contributes, per
+    ν-point, a factor depending only on the hand-off type the point gives
+    that piece; the vector of those factors over all types is the piece's
+    eigenfunction (`eig`), and a table maps eigenfunctions to exact
+    coefficients.  One loop (`_peeled`) convolves sheet 1's component with
+    the rest over the hand-off splits, at the types asked for: all of them
+    in `tc_table`, and at degree d only the full type, ν's own eigenvalue,
+    in `peel`.  So `t_table` and `tc_table` build whole eigenfunctions only
+    below the top (they still answer at degree d, for the tests).
 
     Both forms read every eigenvalue from the cache's central columns
     (`characters.central_column`); the per-point factors come from `eig`,
@@ -526,6 +531,7 @@ class ConnectedComputer:
         self.h = h
         self.d = d
         self.mus = tuple(mus)
+        self.nu = nu
         self.cache = cache
         self.algebra = NuSplitAlgebra(nu)
         self._memo_t: dict = {}
@@ -681,6 +687,29 @@ class ConnectedComputer:
         self._tc[key] = table
         return table
 
+    def fold(self, peeled: bool = True) -> dict[int, int]:
+        """{t: coefficient} over ν's eigenvalues t, 0 included, such that
+        Σ coefficient·t^k is d!² times the count with k ν-points, at every
+        k ≥ 0 whose total colength is even (0**0 == 1 gives k = 0).
+
+        It adds the character sum's terms (`terms`), each at t = f_ν(λ),
+        and, when peeled (the connected count), the components peeled off
+        sheet 1 (`peel`).  It depends on neither k nor its parity:
+        `connected` keeps it on the cache per family, and
+        `structure._extract` groups it by |t| into a table.
+        """
+        omegas = tuple(m.parts for m in self.mus)
+        folded: dict[int, int] = {}
+        for lam, coeff in self.terms(self.d, omegas):
+            # one class-sum eigenvalue read per term, the layer crossing
+            # that bench/workloads.py traces as characters.central
+            t = central_character(self.nu, lam, self.cache)
+            folded[t] = folded.get(t, 0) + coeff
+        if peeled:
+            for t, coeff in self.peel(omegas).items():
+                folded[t] = folded.get(t, 0) + coeff
+        return folded
+
     def peel(self, omegas: tuple) -> dict[int, int]:
         """{f_ν eigenvalue t: coefficient} of the components peeled off
         sheet 1 at degree d: `tc_table(d, omegas)` less `t_table(d, omegas)`
@@ -730,7 +759,10 @@ class ConnectedComputer:
 
 
 def connected(spec: RepeatedSpec, cache: CharCache | None = None) -> Fraction:
-    """Connected Hurwitz number of the repeated-profile family.
+    """Connected Hurwitz number of the repeated-profile family: Σ c·t^k/d!²
+    over the family's `ConnectedComputer.fold`, built once per (h, μ's, ν)
+    and kept on the cache as a tuple of its nonzero pairs, so every k, from
+    0 to a large genus's, then costs one power per eigenvalue.
 
     Returns 0 straight away on parity violation (odd total colength); raises
     GenusError when a supplied genus admits no integer repeat count.
@@ -738,5 +770,11 @@ def connected(spec: RepeatedSpec, cache: CharCache | None = None) -> Fraction:
     k = spec.point_count()
     if not spec.parity_ok():
         return Fraction(0)
-    computer = ConnectedComputer(spec.base.h, spec.base.d, spec.base.profiles, spec.nu, cache)
-    return computer.value(k)
+    h, d, mus = spec.base.h, spec.base.d, spec.base.profiles
+    key = (h, tuple(m.parts for m in mus), spec.nu.parts)
+    memo = _checked(d, cache)._folds
+    fold = memo.get(key)
+    if fold is None:
+        folded = ConnectedComputer(h, d, mus, spec.nu, cache).fold()
+        fold = memo[key] = tuple((t, c) for t, c in folded.items() if c)
+    return Fraction(sum(c * t**k for t, c in fold), factorial(d) ** 2)

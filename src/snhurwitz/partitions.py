@@ -26,7 +26,8 @@ class Partition:
 
     `parts` and `size` (the sum of the parts, written |θ|) are read-only
     slots: any write or delete raises AttributeError, so a partition stays
-    immutable and hashable.
+    immutable and hashable.  `__init__` alone sets them, through the slots'
+    member descriptors (`_set_parts`, `_set_size`).
     """
 
     __slots__ = ("parts", "size")
@@ -36,8 +37,8 @@ class Partition:
         for v in p:
             if v <= 0:
                 raise ValueError(f"partition parts must be positive, got {v}")
-        object.__setattr__(self, "parts", p)
-        object.__setattr__(self, "size", sum(p))
+        _set_parts(self, p)
+        _set_size(self, sum(p))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Partition is immutable; cannot set {name!r}")
@@ -122,6 +123,11 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition({self.parts!r})"
+
+
+#: the slots' own setters, which bypass the guarding `__setattr__`
+_set_parts = Partition.parts.__set__
+_set_size = Partition.size.__set__
 
 
 def parse(text: str) -> Partition:

@@ -3,14 +3,14 @@
 For a fixed degree, target genus, fixed profiles μ^(1..s) and one repeated
 profile ν, both the disconnected and connected Hurwitz numbers are finite
 sums  prefactor · Σ_m b(m)·m^k  over positive integer moduli m, where k is
-the number of ν-points.  Both tables are one fold of (eigenvalue of ν,
-coefficient) pairs from a `hurwitz.ConnectedComputer`: the character sum's
-terms (`terms`) with f_ν(λ) read from ν's central column, to which the
-connected table adds `peel`, the components peeled off sheet 1, summed
-straight by ν's eigenvalue over the eigenfunction tables `t_table` and
-`tc_table` below degree d.  Each table is checked against the count it
-expands (the character sum, or the count form of the recursion,
-`ConnectedComputer.value`) at held-out exponents.
+the number of ν-points.  Both tables group one family's
+`hurwitz.ConnectedComputer.fold`, the (eigenvalue of ν, coefficient) pairs
+that `hurwitz.connected` sums too: the character sum's terms at t = f_ν(λ), to
+which the connected fold adds `ConnectedComputer.peel`, the components
+peeled off sheet 1, summed straight by ν's eigenvalue over the
+eigenfunction tables `t_table` and `tc_table` below degree d.  Each table
+is checked against the count it expands (the character sum, or the count
+form of the recursion, `ConnectedComputer.value`) at held-out exponents.
 
 Every statement about a table lives here: the named statements (T1, T2,
 T5, T6, PropDH, LemmaDH2), the coefficient-gap conjectures (cH4, cH9,
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
 
-from .characters import CharCache, central_column
+from .characters import CharCache
 from .characters import central_character  # noqa: F401  (rebound by bench/workloads.py's tracing)
 from .characters import character_ratio  # noqa: F401  (rebound by bench/workloads.py's tracing)
 from .errors import GenusError, HypothesisError, SizeMismatchError, SupportError
@@ -134,28 +134,23 @@ def _extract(kind: str, h: int, d: int, mus: tuple[Partition, ...], nu: Partitio
              cache: CharCache | None, parity: int | None) -> BTable:
     """Fold the degree-d table of the given kind into b(m), then check it.
 
-    Both kinds fold (t, coefficient) pairs, where t is ν's eigenvalue:
-    t = f_ν(λ), read from ν's central column, at each λ of the character
-    sum's `terms`, and for the connected kind also the pairs of
-    `ConnectedComputer.peel`, the components peeled off sheet 1.  So no
-    degree-d eigenfunction table is built.
-    Each pair adds its coefficient to m = |t|, with sign sgn(t)^k for k of
-    the table's parity.  Each sum is divided by 2·d!^{2h}·∏(d!/z_μ), and the entries
-    run in decreasing m.  The table is then checked at held-out exponents of its
-    parity against the count it expands.
+    Both kinds read the family's `ConnectedComputer.fold`, (t, coefficient)
+    pairs over ν's eigenvalues t (peeled for the connected kind), which
+    `hurwitz.connected` reads too.  Each pair with t ≠ 0 adds its
+    coefficient to m = |t|, with sign sgn(t)^k for k of the table's parity.
+    Each sum is divided by 2·d!^{2h}·∏(d!/z_μ), and the entries run in
+    decreasing m.  The table is then checked at held-out exponents of its
+    parity against the count it expands: the character sum, or the count
+    form of the recursion (`ConnectedComputer.value`, on the same computer,
+    so it reuses the character sums the fold built below degree d).
     """
     mus = tuple(mus)
     CoverSpec(h, d, mus)  # rejects a negative genus and profiles not of size d
     _check_nu(d, nu)
     par, vacuous = _resolve_parity(nu, mus, parity)
     computer = ConnectedComputer(h, d, mus, nu, cache)
-    omegas = tuple(m.parts for m in mus)
-    column = central_column(nu.parts, cache)
-    pairs = [(column.get(lam.parts, 0), coeff) for lam, coeff in computer.terms(d, omegas)]
-    if kind == "connected":
-        pairs += computer.peel(omegas).items()
     folded: dict[int, int] = {}
-    for t, coeff in pairs:
+    for t, coeff in computer.fold(peeled=kind == "connected").items():
         if t:
             folded[abs(t)] = folded.get(abs(t), 0) + (coeff if (t > 0 or par == 0) else -coeff)
     norm = 2 * _integer_scale(h, d, mus)

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from snhurwitz import characters, verify, young_trees
-from snhurwitz.cli import main
+from snhurwitz.cli import _exact_digits, main
+
+from oracles import one_part_count
 
 
 @pytest.fixture()
@@ -71,6 +73,18 @@ def test_hurwitz_connected(run):
     assert code == 0
     assert doc["value"] == "4" and doc["g"] == 0 and doc["k"] == 4
     assert doc["kind"] == "connected" and doc["d"] == 3
+
+
+def test_hurwitz_prints_exact_values_of_any_length(run):
+    # g = 2000 is k = 4006 simple points beside one 7-cycle: a value of
+    # about 5,300 digits, past the interpreter's default cap on int ↔ str
+    code, out, err = run("hurwitz", "--kind", "connected", "--d", "7", "--nu", "2,1,1,1,1,1",
+                         "--g", "2000", "--profile", "7")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["k"] == 4006 and len(doc["value"]) > 4300
+    with _exact_digits():
+        assert Fraction(doc["value"]) == one_part_count(7, 2000)
 
 
 def test_hurwitz_disconnected_fraction(run):

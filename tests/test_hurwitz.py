@@ -31,7 +31,7 @@ from snhurwitz.hurwitz import (
 from snhurwitz.partitions import Partition, parse, partitions_of
 from snhurwitz.structure import extract_b_connected
 
-from oracles import convolve
+from oracles import convolve, one_part_count
 
 P = Partition
 
@@ -335,27 +335,29 @@ def test_disconnected_oracle_equivalence(cache):
 
 
 def test_disconnected_evaluates_each_distinct_profile_once(cache, monkeypatch):
+    # one central column read per distinct profile per call, none per λ
     calls = []
 
-    def counting(theta, lam, cache=None):
-        calls.append(theta)
-        return central(theta, lam, cache)
+    def reading(mu, cache=None):
+        calls.append(mu)
+        return column_of(mu, cache)
 
-    central = hurwitz.central_character
-    monkeypatch.setattr(hurwitz, "central_character", counting)
+    column_of = hurwitz.central_column
+    monkeypatch.setattr(hurwitz, "central_column", reading)
     for d, nu, mu, k in [(4, P([2, 1, 1]), P([3, 1]), 6), (6, P([3, 3]), P([2, 2, 1, 1]), 5)]:
         spec = CoverSpec(0, d, (nu,) * k + (mu,))
         calls.clear()
         value = disconnected(spec, cache)
-        assert len(calls) == 2 * len(partitions_of(d))
+        assert sorted(calls) == sorted([nu.parts, mu.parts])
         assert value == brute_force_disconnected(spec)
 
 
 def test_computers_share_central_columns(monkeypatch):
-    # a computer reads its eigenvalues from the cache's central columns and
-    # never calls hurwitz.central_character (which the benchmark's tracing
-    # wraps for the character sum); a second computer over the same ν on the
-    # same cache builds no central column and reads the first one's columns
+    # a computer's two recursions read their eigenvalues from the cache's
+    # central columns and never call hurwitz.central_character (which the
+    # benchmark's tracing wraps for the character sum and the fold); a
+    # second computer over the same ν on the same cache builds no central
+    # column and reads the first one's columns
     calls, read = [], []
 
     def counting(theta, lam, cache=None):
@@ -469,6 +471,55 @@ def test_computer_memo_is_shared_across_repeat_counts(cache):
         assert values[k] == brute_force_connected(spec.cover_spec())
     for k in (1, 3, 5):
         assert values[k] == 0
+
+
+def test_one_fold_per_family_and_cache(monkeypatch):
+    # k = 0..4 and a g-sweep of one family peel once per cache; a memo hit
+    # equals a fresh cache's answer
+    peels = []
+
+    def counting(self, omegas):
+        peels.append(omegas)
+        return peel(self, omegas)
+
+    peel = ConnectedComputer.peel
+    monkeypatch.setattr(ConnectedComputer, "peel", counting)
+    base, nu = CoverSpec(1, 5, (P([3, 1, 1]),)), P([2, 2, 1])
+    memo = CharCache()
+    values = [connected(RepeatedSpec(base, nu, k=k), memo) for k in range(5)]
+    values += [connected(RepeatedSpec(base, nu, g=g), memo) for g in range(5, 40, 3)]
+    assert len(peels) == 1
+    assert len(memo._folds) == 1
+    fresh = [connected(RepeatedSpec(base, nu, k=k), CharCache()) for k in range(5)]
+    fresh += [connected(RepeatedSpec(base, nu, g=g), CharCache()) for g in range(5, 40, 3)]
+    assert values == fresh and any(values)
+    count_form = ConnectedComputer(1, 5, base.profiles, nu, memo)
+    assert values[:5] == [count_form.value(k) for k in range(5)]
+    assert len(peels) == 1 + len(fresh)
+
+
+def test_fold_reads_k_zero(cache):
+    # at k = 0 every pair counts, the t = 0 ones through 0**0 == 1, and
+    # some families need them
+    zeros = 0
+    for d in (2, 3, 4):
+        classes = partitions_of(d)
+        for h in (0, 1):
+            for mus in [()] + [(m,) for m in classes]:
+                for nu in classes:
+                    if not nu.colength:
+                        continue
+                    spec = RepeatedSpec(CoverSpec(h, d, mus), nu, k=0)
+                    want = brute_force_connected(spec.cover_spec()) if spec.parity_ok() else 0
+                    assert connected(spec, cache) == want, (h, d, mus, nu)
+                    zeros += bool(ConnectedComputer(h, d, mus, nu, cache).fold().get(0))
+    assert zeros
+
+
+def test_fold_reaches_large_genus(cache):
+    # g = 400 over one 7-cycle: k = 806 simple points
+    spec = RepeatedSpec(CoverSpec(0, 7, (P([7]),)), P([2, 1, 1, 1, 1, 1]), g=400)
+    assert connected(spec, cache) == one_part_count(7, 400)
 
 
 def test_nu_split_algebra_indexes_taken_then_left_behind():

@@ -138,3 +138,19 @@ def test_only_the_tracked_start_walks_s_d():
     names = {node.name if isinstance(node, ast.FunctionDef) else node.id
              for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.Name))}
     assert not names & {"_classes", "_BF_MAX_DEGREE"}
+
+
+def test_the_count_form_is_only_the_tables_check():
+    # `connected` reads the eigenvalue fold; the count form of the recursion
+    # (`ConnectedComputer.value` and the two recursions under it) is called
+    # under src/ only by `structure._extract`'s held-out check, and by itself
+    callers: dict[str, set[str]] = {"value": set(), "_tuples_transitive": set(), "_tuples_all": set()}
+    for path in PACKAGE.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Attribute) and node.attr in callers:
+                        callers[node.attr].add(f"{path.stem}.{func.name}")
+    assert callers == {"value": {"structure._extract"},
+                       "_tuples_transitive": {"hurwitz._tuples_transitive", "hurwitz.value"},
+                       "_tuples_all": {"hurwitz._tuples_transitive"}}
