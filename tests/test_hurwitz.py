@@ -434,6 +434,9 @@ def test_connected_full_cycle_forces_transitivity(cache):
 
 
 def test_connected_oracle_equivalence(cache):
+    # k = 0 reads every pair of the fold, the t = 0 ones through 0**0 == 1,
+    # and some families need them
+    zeros = 0
     for d in (2, 3, 4):
         classes = partitions_of(d)
         nus = [p for p in classes if p.colength > 0]
@@ -446,6 +449,8 @@ def test_connected_oracle_equivalence(cache):
                         want = brute_force_connected(spec.cover_spec())
                         assert got == want, (h, d, mus, nu, k)
                         assert disconnected(spec.cover_spec(), cache) >= got >= 0
+                    zeros += bool(ConnectedComputer(h, d, mus, nu, cache).fold().get(0))
+    assert zeros
 
 
 def test_profile_order_does_not_matter(cache):
@@ -496,24 +501,6 @@ def test_one_fold_per_family_and_cache(monkeypatch):
     count_form = ConnectedComputer(1, 5, base.profiles, nu, memo)
     assert values[:5] == [count_form.value(k) for k in range(5)]
     assert len(peels) == 1 + len(fresh)
-
-
-def test_fold_reads_k_zero(cache):
-    # at k = 0 every pair counts, the t = 0 ones through 0**0 == 1, and
-    # some families need them
-    zeros = 0
-    for d in (2, 3, 4):
-        classes = partitions_of(d)
-        for h in (0, 1):
-            for mus in [()] + [(m,) for m in classes]:
-                for nu in classes:
-                    if not nu.colength:
-                        continue
-                    spec = RepeatedSpec(CoverSpec(h, d, mus), nu, k=0)
-                    want = brute_force_connected(spec.cover_spec()) if spec.parity_ok() else 0
-                    assert connected(spec, cache) == want, (h, d, mus, nu)
-                    zeros += bool(ConnectedComputer(h, d, mus, nu, cache).fold().get(0))
-    assert zeros
 
 
 def test_fold_reaches_large_genus(cache):
